@@ -11,12 +11,12 @@
 //     the whole suite runs as `go vet -vettool=$(which spartanvet) ./...`
 //     (the `make lint` entry point).
 //
-// The analyzers themselves encode SPARTAN invariants the compiler cannot
-// see: tolerance comparisons must not use raw float equality (floatcmp),
-// pipeline spans must be finished (spanfinish), registry locks must be
-// balanced and panic-safe (lockbalance), archive writes must not swallow
-// errors (errcheckio), and metric registrations must be valid and
-// consistent (metricname).
+// The analyzers themselves live in subpackages and encode SPARTAN
+// invariants the compiler cannot see; docs/DEVELOPMENT.md catalogues
+// every registered one. The interprocedural analyzers build on summary
+// layers (layer.go): one generic engine that computes per-function
+// summaries bottom-up over the call graph and carries them across
+// package boundaries as facts (facts.go).
 package analysis
 
 import (

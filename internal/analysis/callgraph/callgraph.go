@@ -5,13 +5,13 @@
 // as conservative dynamic edges (the declared callee when one exists,
 // nil otherwise). SCCs() groups the in-package nodes into strongly
 // connected components in bottom-up order — callees before callers —
-// which is the evaluation order internal/analysis/summary needs to
-// compute per-function summaries with recursion handled by fixpoint
-// iteration inside each component.
+// which is the evaluation order the summary layers (analysis.Layer)
+// need to compute per-function summaries with recursion handled by
+// fixpoint iteration inside each component.
 //
 // Cross-package edges carry the callee's *types.Func but no Node;
-// summaries for those come from the fact store (see the summary
-// package), computed when the unitchecker visited the dependency.
+// summaries for those come from the fact store (see analysis.Layer),
+// computed when the unitchecker visited the dependency.
 package callgraph
 
 import (
@@ -242,4 +242,62 @@ func (t *tarjan) strongconnect(n *Node) {
 		}
 		t.sccs = append(t.sccs, scc)
 	}
+}
+
+// ParamVars lists the parameter objects of a declaration: receiver
+// first, then parameters, in declaration order — the index convention
+// every summary layer uses. Blank and anonymous parameters occupy their
+// index with a nil entry.
+func ParamVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
+	var out []*types.Var
+	if decl.Recv != nil {
+		out = fieldVars(out, decl.Recv, info)
+	}
+	return fieldVars(out, decl.Type.Params, info)
+}
+
+// ResultVars lists the named result objects (nil entries for unnamed),
+// for queries at bare returns.
+func ResultVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
+	return fieldVars(nil, decl.Type.Results, info)
+}
+
+func fieldVars(out []*types.Var, fields *ast.FieldList, info *types.Info) []*types.Var {
+	if fields == nil {
+		return out
+	}
+	for _, f := range fields.List {
+		if len(f.Names) == 0 {
+			out = append(out, nil)
+			continue
+		}
+		for _, name := range f.Names {
+			if name.Name == "_" {
+				out = append(out, nil)
+				continue
+			}
+			v, _ := info.Defs[name].(*types.Var)
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// ArgExpr maps a receiver-first parameter index to the call-site
+// expression bound to it, or nil.
+func ArgExpr(call *ast.CallExpr, callee *types.Func, param int) ast.Expr {
+	sig, _ := callee.Type().(*types.Signature)
+	if sig != nil && sig.Recv() != nil {
+		if param == 0 {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				return sel.X
+			}
+			return nil
+		}
+		param--
+	}
+	if param < 0 || param >= len(call.Args) {
+		return nil
+	}
+	return call.Args[param]
 }

@@ -5,8 +5,8 @@ import (
 	"go/token"
 	"go/types"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/summary"
 )
 
 // WriteTarget is one lvalue a node writes through: the written
@@ -17,7 +17,7 @@ type WriteTarget struct {
 	Expr   ast.Expr
 	Pos    token.Pos
 	Via    *types.Func
-	ViaPos summary.Position
+	ViaPos analysis.Position
 }
 
 // WriteTargets returns the lvalues written by one AST node: assignment
@@ -69,7 +69,7 @@ func WriteTargets(info *types.Info, n ast.Node, lookup Lookup) []WriteTarget {
 			return out
 		}
 		for _, w := range cs.UnguardedWrites {
-			arg := argExpr(n, callee, w.Param)
+			arg := callgraph.ArgExpr(n, callee, w.Param)
 			if arg == nil {
 				continue
 			}

@@ -55,9 +55,7 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase(scope...) {
 		return nil
 	}
-	imported := conc.ModuleScoped(pass.Pkg.Path(), conc.FactLookup(pass.Facts))
-	local := conc.Compute(pass.Fset, pass.Files, pass.TypesInfo, imported)
-	lookup := local.LookupIn(imported)
+	lookup := conc.Layer.Run(pass).Lookup
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt

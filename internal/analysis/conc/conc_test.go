@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/conc"
 )
 
@@ -198,7 +199,7 @@ func fireJoined(s *store) {
 	wg.Wait()
 }
 `)
-	res := conc.Compute(fset, []*ast.File{f}, info, nil)
+	res := conc.Layer.Compute(&analysis.Pass{Fset: fset, Files: []*ast.File{f}, TypesInfo: info}, nil)
 	byName := map[string]*conc.FuncConc{}
 	for fn, s := range res.ByFunc {
 		byName[fn.Name()] = s
@@ -228,47 +229,5 @@ func fireJoined(s *store) {
 	}
 	if s := byName["fireJoined"]; !s.Spawns || s.AsyncSpawn {
 		t.Errorf("fireJoined should spawn but join before returning: %+v", s)
-	}
-
-	// The fact roundtrip drops empty summaries and preserves the rest.
-	blob, err := res.Encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	decoded, err := conc.DecodeFact(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if _, ok := decoded["(*p.store).lock"]; !ok {
-		t.Errorf("decoded fact should keep the lock helper, has %d entries", len(decoded))
-	}
-	for name, s := range decoded {
-		if !s.Spawns && !s.AsyncSpawn && len(s.NetLocks) == 0 && len(s.UnguardedWrites) == 0 {
-			t.Errorf("empty summary %q should not round-trip", name)
-		}
-	}
-}
-
-func TestModuleScopedLookup(t *testing.T) {
-	fset, f, info := check(t, `package p
-
-func helper() { go func() {}() }
-`)
-	res := conc.Compute(fset, []*ast.File{f}, info, nil)
-	var helperFn *types.Func
-	for fn := range res.ByFunc {
-		if fn.Name() == "helper" {
-			helperFn = fn
-		}
-	}
-	if helperFn == nil {
-		t.Fatal("helper not summarized")
-	}
-	all := func(fn *types.Func) *conc.FuncConc { return res.ByFunc[fn] }
-	if got := conc.ModuleScoped("p", all)(helperFn); got == nil || !got.Spawns {
-		t.Errorf("same-module lookup should resolve helper, got %+v", got)
-	}
-	if got := conc.ModuleScoped("repro/internal/core", all)(helperFn); got != nil {
-		t.Errorf("cross-module lookup should be filtered, got %+v", got)
 	}
 }

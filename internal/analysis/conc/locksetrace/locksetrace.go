@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/conc"
-	"repro/internal/analysis/summary"
 )
 
 // Analyzer flags goroutine accesses with provably disjoint locksets.
@@ -54,9 +53,7 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase(scope...) {
 		return nil
 	}
-	imported := conc.ModuleScoped(pass.Pkg.Path(), conc.FactLookup(pass.Facts))
-	local := conc.Compute(pass.Fset, pass.Files, pass.TypesInfo, imported)
-	lookup := local.LookupIn(imported)
+	lookup := conc.Layer.Run(pass).Lookup
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -84,7 +81,7 @@ type access struct {
 	write   bool
 	sharded bool
 	via     *types.Func
-	viaPos  summary.Position
+	viaPos  analysis.Position
 }
 
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt, lookup conc.Lookup) {

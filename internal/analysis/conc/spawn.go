@@ -5,8 +5,8 @@ import (
 	"go/token"
 	"go/types"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/summary"
 )
 
 // Spawn is one goroutine creation site in a function body: a direct go
@@ -26,7 +26,7 @@ type Spawn struct {
 	// live in another package).
 	Via      *types.Func
 	ViaConc  *FuncConc
-	ViaSites []summary.Position
+	ViaSites []analysis.Position
 	// Loop is the innermost loop statement (of this body) enclosing the
 	// spawn, or nil: a spawn in a loop creates one goroutine per
 	// iteration.

@@ -1,7 +1,6 @@
 package conc
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/summary"
 )
 
 // FactName is the analyzer name concurrency summaries are stored under
@@ -33,8 +31,8 @@ type LockEffect struct {
 // goroutine must either hold a common lock around the call or own the
 // argument exclusively.
 type ParamWrite struct {
-	Param int              `json:"param"`
-	Pos   summary.Position `json:"pos"`
+	Param int               `json:"param"`
+	Pos   analysis.Position `json:"pos"`
 }
 
 // FuncConc is the serialized concurrency summary of one function, keyed
@@ -45,7 +43,7 @@ type FuncConc struct {
 	Spawns bool `json:"spawns,omitempty"`
 	// SpawnSites locates the direct go statements (for diagnostics'
 	// related-location paths).
-	SpawnSites []summary.Position `json:"spawnSites,omitempty"`
+	SpawnSites []analysis.Position `json:"spawnSites,omitempty"`
 	// AsyncSpawn reports that a spawned goroutine can outlive the call:
 	// there is a spawn with no sync.WaitGroup.Wait joining it before
 	// return, or a callee spawns goroutines this function cannot join.
@@ -66,65 +64,30 @@ func (s *FuncConc) empty() bool {
 	return !s.Spawns && !s.AsyncSpawn && len(s.NetLocks) == 0 && len(s.UnguardedWrites) == 0
 }
 
-func (s *FuncConc) equal(o *FuncConc) bool {
-	a, _ := json.Marshal(s)
-	b, _ := json.Marshal(o)
-	return string(a) == string(b)
-}
-
 // Lookup resolves the concurrency summary of a callee, or nil.
-type Lookup func(fn *types.Func) *FuncConc
+type Lookup = analysis.Lookup[FuncConc]
 
-// Result is one package's computed concurrency summaries.
-type Result struct {
-	// ByFunc holds the summary of every function declared in the
-	// package (empty summaries included).
-	ByFunc map[*types.Func]*FuncConc
+// Layer summarizes every function body bottom-up. Unknown callees are
+// treated as lock-neutral non-spawners. Cross-package inheritance is
+// module-scoped: the standard library manages its own goroutines
+// (http's per-connection loop, pprof's profile writer, testing's
+// tRunner), and propagating them would make every transitive caller a
+// "spawner" — fmt.Errorf reaches one eventually.
+var Layer = &analysis.Layer[FuncConc, struct{}]{
+	Name:         FactName,
+	ModuleScoped: true,
+	Engine: func(pass *analysis.Pass) analysis.Summarize[FuncConc, struct{}] {
+		return func(n *callgraph.Node, lookup Lookup) (struct{}, *FuncConc) {
+			return struct{}{}, computeFunc(pass.Fset, pass.TypesInfo, n.Decl, lookup)
+		}
+	},
+	Empty: (*FuncConc).empty,
 }
 
-// LookupIn chains the package-local summaries with an imported-fact
-// lookup, the resolution order every analyzer wants.
-func (r *Result) LookupIn(imported Lookup) Lookup {
-	return func(fn *types.Func) *FuncConc {
-		if s, ok := r.ByFunc[fn]; ok {
-			return s
-		}
-		if imported != nil {
-			return imported(fn)
-		}
-		return nil
-	}
-}
-
-// Compute builds the package call graph, orders it bottom-up by SCC,
-// and summarizes every function body. imported resolves cross-package
-// callees (nil is fine: unknown callees are treated as lock-neutral
-// non-spawners).
-func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported Lookup) *Result {
-	g := callgraph.Build(files, info)
-	res := &Result{ByFunc: map[*types.Func]*FuncConc{}}
-	lookup := res.LookupIn(imported)
-	for _, scc := range g.SCCs() {
-		// Summaries only grow (a spawn discovered through a mutually
-		// recursive callee adds a bit, never removes one), so a short
-		// fixpoint converges; four rounds bound pathological growth the
-		// same way funcsummary's do.
-		for round := 0; ; round++ {
-			changed := false
-			for _, n := range scc {
-				sum := computeFunc(fset, info, n.Decl, lookup)
-				if old := res.ByFunc[n.Func]; old == nil || !old.equal(sum) {
-					changed = true
-				}
-				res.ByFunc[n.Func] = sum
-			}
-			if !changed || round >= 3 {
-				break
-			}
-		}
-	}
-	return res
-}
+// Analyzer is the fact producer: it emits no diagnostics, only the
+// "concsummary" package fact the four concurrency analyzers consume for
+// cross-package calls.
+var Analyzer = Layer.Analyzer("concsummary: compute per-function concurrency summaries (net lock effects on parameters, goroutine spawns and whether they outlive the call, parameters written without a lock) bottom-up over call-graph SCCs and export them as a package fact for the concurrency analyzers")
 
 // computeFunc summarizes one function declaration.
 func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, lookup Lookup) *FuncConc {
@@ -132,7 +95,7 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 	if decl.Body == nil {
 		return sum
 	}
-	params := paramVars(decl, info)
+	params := callgraph.ParamVars(decl, info)
 
 	// Spawn shape: direct go statements and async callees, outside
 	// nested function literals (a closure's spawns belong to whoever
@@ -143,7 +106,7 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			sum.Spawns = true
-			sum.SpawnSites = append(sum.SpawnSites, position(fset, n.Pos()))
+			sum.SpawnSites = append(sum.SpawnSites, analysis.PositionOf(fset, n.Pos()))
 			spawnEnds = append(spawnEnds, n.Pos())
 		case *ast.CallExpr:
 			if _, method := WaitGroupCall(info, n); method == "Wait" {
@@ -238,7 +201,7 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 			if !ok || len(set.Keys()) > 0 {
 				continue
 			}
-			sum.UnguardedWrites = append(sum.UnguardedWrites, ParamWrite{Param: pi, Pos: position(fset, w.Pos)})
+			sum.UnguardedWrites = append(sum.UnguardedWrites, ParamWrite{Param: pi, Pos: analysis.PositionOf(fset, w.Pos)})
 		}
 	})
 	return sum
@@ -262,7 +225,7 @@ func EffectFromLookup(info *types.Info, lookup Lookup) EffectFn {
 		}
 		var out []Effect
 		for _, e := range cs.NetLocks {
-			arg := argExpr(call, callee, e.Param)
+			arg := callgraph.ArgExpr(call, callee, e.Param)
 			if arg == nil {
 				continue
 			}
@@ -274,25 +237,6 @@ func EffectFromLookup(info *types.Info, lookup Lookup) EffectFn {
 		}
 		return out
 	}
-}
-
-// argExpr maps a receiver-first parameter index to the call-site
-// expression bound to it.
-func argExpr(call *ast.CallExpr, callee *types.Func, param int) ast.Expr {
-	sig, _ := callee.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		if param == 0 {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				return sel.X
-			}
-			return nil
-		}
-		param--
-	}
-	if param < 0 || param >= len(call.Args) {
-		return nil
-	}
-	return call.Args[param]
 }
 
 // paramRelative splits a lock key rooted at a parameter name into
@@ -327,37 +271,6 @@ func writableThrough(t types.Type) bool {
 	return false
 }
 
-// paramVars lists the parameter objects of a declaration: receiver
-// first, then parameters, matching funcsummary's index convention.
-func paramVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
-	var out []*types.Var
-	addField := func(f *ast.Field) {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			return
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			v, _ := info.Defs[name].(*types.Var)
-			out = append(out, v)
-		}
-	}
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
-			addField(f)
-		}
-	}
-	if decl.Type.Params != nil {
-		for _, f := range decl.Type.Params.List {
-			addField(f)
-		}
-	}
-	return out
-}
-
 // walkOutsideFuncLits visits every node of body that executes on the
 // function's own goroutine and defer-free path: nested function
 // literals and deferred calls are skipped.
@@ -374,11 +287,6 @@ func walkOutsideFuncLits(body *ast.BlockStmt, visit func(ast.Node)) {
 	})
 }
 
-func position(fset *token.FileSet, pos token.Pos) summary.Position {
-	p := fset.Position(pos)
-	return summary.Position{File: p.Filename, Line: p.Line, Col: p.Column}
-}
-
 func sortLockEffects(effects []LockEffect) {
 	for i := 1; i < len(effects); i++ {
 		for j := i; j > 0; j-- {
@@ -389,92 +297,4 @@ func sortLockEffects(effects []LockEffect) {
 			effects[j-1], effects[j] = b, a
 		}
 	}
-}
-
-// Encode serializes the non-empty summaries as the package fact body.
-func (r *Result) Encode() ([]byte, error) {
-	byName := map[string]*FuncConc{}
-	for fn, s := range r.ByFunc {
-		if !s.empty() {
-			byName[fn.FullName()] = s
-		}
-	}
-	if len(byName) == 0 {
-		return nil, nil
-	}
-	return json.Marshal(byName)
-}
-
-// DecodeFact parses a fact blob produced by Encode.
-func DecodeFact(data []byte) (map[string]*FuncConc, error) {
-	byName := map[string]*FuncConc{}
-	if len(data) == 0 {
-		return byName, nil
-	}
-	if err := json.Unmarshal(data, &byName); err != nil {
-		return nil, err
-	}
-	return byName, nil
-}
-
-// ModuleScoped restricts a lookup to functions whose package shares the
-// module root of pkgPath. Concurrency summaries of other modules — the
-// standard library above all — describe goroutines those libraries
-// manage themselves: http's per-connection goroutines, pprof's profile
-// writer, testing's tRunner. Propagating them makes every transitive
-// caller a "spawner" (fmt.Errorf reaches one eventually) and drowns the
-// repo's own signal, so the analyzers inherit summaries only within the
-// module under analysis.
-func ModuleScoped(pkgPath string, l Lookup) Lookup {
-	root := moduleRoot(pkgPath)
-	return func(fn *types.Func) *FuncConc {
-		if fn == nil || fn.Pkg() == nil || moduleRoot(fn.Pkg().Path()) != root {
-			return nil
-		}
-		return l(fn)
-	}
-}
-
-// moduleRoot is the leading element of an import path: "repro" for
-// "repro/internal/core", "testing" for "testing".
-func moduleRoot(path string) string {
-	root, _, _ := strings.Cut(path, "/")
-	return root
-}
-
-// FactLookup adapts a driver FactStore into a cross-package Lookup,
-// caching each dependency's decoded fact. Safe with a nil store.
-func FactLookup(store *analysis.FactStore) Lookup {
-	cache := map[string]map[string]*FuncConc{}
-	return func(fn *types.Func) *FuncConc {
-		if fn == nil || fn.Pkg() == nil {
-			return nil
-		}
-		path := fn.Pkg().Path()
-		pkg, ok := cache[path]
-		if !ok {
-			pkg, _ = DecodeFact(store.Get(path, FactName))
-			cache[path] = pkg
-		}
-		return pkg[fn.FullName()]
-	}
-}
-
-// Analyzer is the fact producer: it emits no diagnostics, only the
-// "concsummary" package fact the four concurrency analyzers consume for
-// cross-package calls. Drivers run it over dependencies because Facts
-// is set.
-var Analyzer = &analysis.Analyzer{
-	Name:  FactName,
-	Doc:   "concsummary: compute per-function concurrency summaries (net lock effects on parameters, goroutine spawns and whether they outlive the call, parameters written without a lock) bottom-up over call-graph SCCs and export them as a package fact for the concurrency analyzers",
-	Facts: true,
-	Run: func(pass *analysis.Pass) error {
-		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, ModuleScoped(pass.Pkg.Path(), FactLookup(pass.Facts)))
-		blob, err := res.Encode()
-		if err != nil {
-			return err
-		}
-		pass.ExportFact(blob)
-		return nil
-	},
 }

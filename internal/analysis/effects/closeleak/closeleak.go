@@ -45,9 +45,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	imported := effects.ModuleScoped(pass.Pkg.Path(), effects.FactLookup(pass.Facts))
-	local := effects.Compute(pass.Fset, pass.Files, pass.TypesInfo, imported)
-	lookup := local.LookupIn(imported)
+	lookup := effects.Layer.Run(pass).Lookup
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			decl, ok := d.(*ast.FuncDecl)

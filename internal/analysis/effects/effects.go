@@ -17,19 +17,16 @@
 // graph (fixpoint iteration inside recursive components) and serialized
 // as the "effectsummary" analyzer fact, so downstream packages reuse
 // them through the unitchecker's vetx files without dependency source —
-// exactly the funcsummary/concsummary/rangesummary plumbing.
+// the analysis.Layer plumbing the other summary layers share.
 package effects
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/summary"
 )
 
 // FactName is the analyzer name effect summaries are stored under in a
@@ -50,9 +47,9 @@ const (
 // NondetResult marks a result (by index) that may carry a
 // nondeterministic value out of the function.
 type NondetResult struct {
-	Result int              `json:"result"`
-	Kind   string           `json:"kind"`
-	Pos    summary.Position `json:"pos"`
+	Result int               `json:"result"`
+	Kind   string            `json:"kind"`
+	Pos    analysis.Position `json:"pos"`
 	// Via names the callee the nondeterminism was inherited from, when
 	// the source lives in another function.
 	Via string `json:"via,omitempty"`
@@ -64,9 +61,9 @@ type NondetResult struct {
 // summarized callee. Callers treat a call to such a function as a sink
 // for the corresponding argument.
 type WriteParam struct {
-	Param int              `json:"param"`
-	Pos   summary.Position `json:"pos"`
-	Via   string           `json:"via,omitempty"`
+	Param int               `json:"param"`
+	Pos   analysis.Position `json:"pos"`
+	Via   string            `json:"via,omitempty"`
 }
 
 // OpenResult marks a result that carries an open io.Closer the caller
@@ -74,9 +71,9 @@ type WriteParam struct {
 // or a summarized opener) and returned it, or wrapped a stored handle
 // in a closer-owning struct.
 type OpenResult struct {
-	Result int              `json:"result"`
-	What   string           `json:"what"`
-	Pos    summary.Position `json:"pos"`
+	Result int               `json:"result"`
+	What   string            `json:"what"`
+	Pos    analysis.Position `json:"pos"`
 }
 
 // FuncEffects is the serialized effect summary of one function, keyed
@@ -100,12 +97,6 @@ func (s *FuncEffects) empty() bool {
 		len(s.Opens) == 0 && len(s.ClosesParams) == 0 && len(s.StoresParams) == 0
 }
 
-func (s *FuncEffects) equal(o *FuncEffects) bool {
-	a, _ := json.Marshal(s)
-	b, _ := json.Marshal(o)
-	return string(a) == string(b)
-}
-
 // closesParam reports whether calling the function closes param i.
 func (s *FuncEffects) closesParam(i int) bool {
 	for _, p := range s.ClosesParams {
@@ -127,57 +118,27 @@ func (s *FuncEffects) storesParam(i int) bool {
 }
 
 // Lookup resolves the effect summary of a callee, or nil.
-type Lookup func(fn *types.Func) *FuncEffects
+type Lookup = analysis.Lookup[FuncEffects]
 
-// Result is one package's computed effect summaries.
-type Result struct {
-	// ByFunc holds the summary of every function declared in the
-	// package (empty summaries included).
-	ByFunc map[*types.Func]*FuncEffects
+// Layer summarizes every function body bottom-up. Unknown callees are
+// treated as effect-free. Cross-package inheritance is module-scoped:
+// the stdlib reads clocks everywhere, and inheriting those summaries
+// would make every fmt caller nondeterministic.
+var Layer = &analysis.Layer[FuncEffects, struct{}]{
+	Name:         FactName,
+	ModuleScoped: true,
+	Engine: func(pass *analysis.Pass) analysis.Summarize[FuncEffects, struct{}] {
+		return func(n *callgraph.Node, lookup Lookup) (struct{}, *FuncEffects) {
+			return struct{}{}, computeFunc(pass.Fset, pass.TypesInfo, n.Decl, lookup)
+		}
+	},
+	Empty: (*FuncEffects).empty,
 }
 
-// LookupIn chains the package-local summaries with an imported-fact
-// lookup, the resolution order every analyzer wants.
-func (r *Result) LookupIn(imported Lookup) Lookup {
-	return func(fn *types.Func) *FuncEffects {
-		if s, ok := r.ByFunc[fn]; ok {
-			return s
-		}
-		if imported != nil {
-			return imported(fn)
-		}
-		return nil
-	}
-}
-
-// Compute builds the package call graph, orders it bottom-up by SCC,
-// and summarizes every function body. imported resolves cross-package
-// callees (nil is fine: unknown callees are treated as effect-free).
-func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported Lookup) *Result {
-	g := callgraph.Build(files, info)
-	res := &Result{ByFunc: map[*types.Func]*FuncEffects{}}
-	lookup := res.LookupIn(imported)
-	for _, scc := range g.SCCs() {
-		// Summaries only grow (a nondet source discovered through a
-		// mutually recursive callee adds an entry, never removes one), so
-		// a short fixpoint converges; four rounds bound pathological
-		// growth the same way funcsummary's and concsummary's do.
-		for round := 0; ; round++ {
-			changed := false
-			for _, n := range scc {
-				sum := computeFunc(fset, info, n.Decl, lookup)
-				if old := res.ByFunc[n.Func]; old == nil || !old.equal(sum) {
-					changed = true
-				}
-				res.ByFunc[n.Func] = sum
-			}
-			if !changed || round >= 3 {
-				break
-			}
-		}
-	}
-	return res
-}
+// Analyzer is the fact producer: it emits no diagnostics, only the
+// "effectsummary" package fact detorder and closeleak consume for
+// cross-package calls.
+var Analyzer = Layer.Analyzer("effectsummary: compute per-function effect summaries (nondeterminism sources reaching results, parameters written to wire output, open io.Closer results, parameters closed or stored) bottom-up over call-graph SCCs and export them as a package fact for the determinism and resource-lifecycle analyzers")
 
 // computeFunc summarizes one function declaration: the nondeterminism
 // engine supplies NondetResults and WriteParams, the resource engine
@@ -195,145 +156,4 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 	sum.ClosesParams = rs.ClosesParams
 	sum.StoresParams = rs.StoresParams
 	return sum
-}
-
-// Encode serializes the non-empty summaries as the package fact body.
-func (r *Result) Encode() ([]byte, error) {
-	byName := map[string]*FuncEffects{}
-	for fn, s := range r.ByFunc {
-		if !s.empty() {
-			byName[fn.FullName()] = s
-		}
-	}
-	if len(byName) == 0 {
-		return nil, nil
-	}
-	return json.Marshal(byName)
-}
-
-// DecodeFact parses a fact blob produced by Encode.
-func DecodeFact(data []byte) (map[string]*FuncEffects, error) {
-	byName := map[string]*FuncEffects{}
-	if len(data) == 0 {
-		return byName, nil
-	}
-	if err := json.Unmarshal(data, &byName); err != nil {
-		return nil, err
-	}
-	return byName, nil
-}
-
-// ModuleScoped restricts a lookup to functions whose package shares the
-// module root of pkgPath. Effect summaries of other modules — the
-// standard library above all — are not computed anyway (the drivers
-// only visit the module under analysis), but the filter keeps the
-// contract symmetric with conc.ModuleScoped and guards against a
-// future driver that widens the fact horizon.
-func ModuleScoped(pkgPath string, l Lookup) Lookup {
-	root := moduleRoot(pkgPath)
-	return func(fn *types.Func) *FuncEffects {
-		if fn == nil || fn.Pkg() == nil || moduleRoot(fn.Pkg().Path()) != root {
-			return nil
-		}
-		return l(fn)
-	}
-}
-
-// moduleRoot is the leading element of an import path: "repro" for
-// "repro/internal/core", "testing" for "testing".
-func moduleRoot(path string) string {
-	root, _, _ := strings.Cut(path, "/")
-	return root
-}
-
-// FactLookup adapts a driver FactStore into a cross-package Lookup,
-// caching each dependency's decoded fact. Safe with a nil store.
-func FactLookup(store *analysis.FactStore) Lookup {
-	cache := map[string]map[string]*FuncEffects{}
-	return func(fn *types.Func) *FuncEffects {
-		if fn == nil || fn.Pkg() == nil {
-			return nil
-		}
-		path := fn.Pkg().Path()
-		pkg, ok := cache[path]
-		if !ok {
-			pkg, _ = DecodeFact(store.Get(path, FactName))
-			cache[path] = pkg
-		}
-		return pkg[fn.FullName()]
-	}
-}
-
-// argExpr maps a receiver-first parameter index to the call-site
-// expression bound to it.
-func argExpr(call *ast.CallExpr, callee *types.Func, param int) ast.Expr {
-	sig, _ := callee.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		if param == 0 {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				return sel.X
-			}
-			return nil
-		}
-		param--
-	}
-	if param < 0 || param >= len(call.Args) {
-		return nil
-	}
-	return call.Args[param]
-}
-
-// paramVars lists the parameter objects of a declaration: receiver
-// first, then parameters, matching funcsummary's index convention.
-func paramVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
-	var out []*types.Var
-	addField := func(f *ast.Field) {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			return
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			v, _ := info.Defs[name].(*types.Var)
-			out = append(out, v)
-		}
-	}
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
-			addField(f)
-		}
-	}
-	if decl.Type.Params != nil {
-		for _, f := range decl.Type.Params.List {
-			addField(f)
-		}
-	}
-	return out
-}
-
-func position(fset *token.FileSet, pos token.Pos) summary.Position {
-	p := fset.Position(pos)
-	return summary.Position{File: p.Filename, Line: p.Line, Col: p.Column}
-}
-
-// Analyzer is the fact producer: it emits no diagnostics, only the
-// "effectsummary" package fact detorder and closeleak consume for
-// cross-package calls. Drivers run it over dependencies because Facts
-// is set.
-var Analyzer = &analysis.Analyzer{
-	Name:  FactName,
-	Doc:   "effectsummary: compute per-function effect summaries (nondeterminism sources reaching results, parameters written to wire output, open io.Closer results, parameters closed or stored) bottom-up over call-graph SCCs and export them as a package fact for the determinism and resource-lifecycle analyzers",
-	Facts: true,
-	Run: func(pass *analysis.Pass) error {
-		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, ModuleScoped(pass.Pkg.Path(), FactLookup(pass.Facts)))
-		blob, err := res.Encode()
-		if err != nil {
-			return err
-		}
-		pass.ExportFact(blob)
-		return nil
-	},
 }

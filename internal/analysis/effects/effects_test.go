@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/effects"
 )
 
@@ -34,13 +35,13 @@ func check(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Info) {
 	return fset, f, info
 }
 
-func compute(t *testing.T, src string) (*effects.Result, *types.Info, *ast.File) {
+func compute(t *testing.T, src string) (*analysis.Result[effects.FuncEffects, struct{}], *types.Info, *ast.File) {
 	t.Helper()
 	fset, f, info := check(t, src)
-	return effects.Compute(fset, []*ast.File{f}, info, nil), info, f
+	return effects.Layer.Compute(&analysis.Pass{Fset: fset, Files: []*ast.File{f}, TypesInfo: info}, nil), info, f
 }
 
-func summaryOf(t *testing.T, res *effects.Result, name string) *effects.FuncEffects {
+func summaryOf(t *testing.T, res *analysis.Result[effects.FuncEffects, struct{}], name string) *effects.FuncEffects {
 	t.Helper()
 	for fn, s := range res.ByFunc {
 		if fn.Name() == name {
@@ -281,14 +282,14 @@ import "time"
 
 func clock() int64 { return time.Now().UnixNano() }
 `)
-	blob, err := res.Encode()
+	blob, err := effects.Layer.Encode(res)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	if len(blob) == 0 {
 		t.Fatalf("encode: want non-empty fact blob")
 	}
-	decoded, err := effects.DecodeFact(blob)
+	decoded, err := analysis.DecodeFact[effects.FuncEffects](blob)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

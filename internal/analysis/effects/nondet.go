@@ -31,8 +31,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/summary"
 )
 
 // Step is one hop of an effect path, rendered as a Diagnostic.Related
@@ -40,7 +40,7 @@ import (
 // only through a serialized fact carry a pre-resolved Position.
 type Step struct {
 	Pos      token.Pos
-	Position summary.Position
+	Position analysis.Position
 	Msg      string
 }
 
@@ -140,7 +140,7 @@ func analyzeNondet(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, lo
 		info:         info,
 		lookup:       lookup,
 		decl:         decl,
-		params:       paramVars(decl, info),
+		params:       callgraph.ParamVars(decl, info),
 		state:        map[*types.Var]taints{},
 		seen:         map[string]bool{},
 		resultNondet: map[string]NondetResult{},
@@ -353,10 +353,10 @@ func (e *nondetEngine) returnStmt(s *ast.ReturnStmt) {
 			if _, ok := e.resultNondet[key]; ok {
 				continue
 			}
-			nr := NondetResult{Result: i, Kind: kind, Pos: position(e.fset, s.Pos())}
+			nr := NondetResult{Result: i, Kind: kind, Pos: analysis.PositionOf(e.fset, s.Pos())}
 			if len(steps) > 0 {
 				if steps[0].Pos.IsValid() {
-					nr.Pos = position(e.fset, steps[0].Pos)
+					nr.Pos = analysis.PositionOf(e.fset, steps[0].Pos)
 				} else {
 					nr.Pos = steps[0].Position
 				}
@@ -999,7 +999,7 @@ func (e *nondetEngine) checkSink(call *ast.CallExpr, callee *types.Func, dynamic
 	// for the corresponding argument.
 	if sum := e.lookupSummary(callee, dynamic); sum != nil {
 		for _, wp := range sum.WriteParams {
-			a := argExpr(call, callee, wp.Param)
+			a := callgraph.ArgExpr(call, callee, wp.Param)
 			if a == nil {
 				continue
 			}
@@ -1033,7 +1033,7 @@ func (e *nondetEngine) checkSink(call *ast.CallExpr, callee *types.Func, dynamic
 			if pi, ok := strings.CutPrefix(kind, paramKindPrefix); ok {
 				if n, err := strconv.Atoi(pi); err == nil {
 					if _, have := e.paramWrites[n]; !have {
-						wp := WriteParam{Param: n, Pos: position(e.fset, call.Pos())}
+						wp := WriteParam{Param: n, Pos: analysis.PositionOf(e.fset, call.Pos())}
 						if callee != nil && strings.Contains(sa.desc, "passed to") {
 							wp.Via = callee.Name()
 						}

@@ -26,6 +26,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
 	"repro/internal/analysis/cfg"
 )
@@ -82,7 +83,7 @@ var stdOpeners = map[string]int{
 }
 
 func analyzeResources(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, lookup Lookup) *resourceInfo {
-	e := &resourceEngine{fset: fset, info: info, lookup: lookup, decl: decl, params: paramVars(decl, info)}
+	e := &resourceEngine{fset: fset, info: info, lookup: lookup, decl: decl, params: callgraph.ParamVars(decl, info)}
 	out := &resourceInfo{}
 	out.ClosesParams = e.closesParams()
 	out.StoresParams = e.storesParams()
@@ -91,7 +92,7 @@ func analyzeResources(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl,
 	for _, site := range sites {
 		returned := e.track(g, site, out)
 		if returned >= 0 {
-			out.Opens = append(out.Opens, OpenResult{Result: returned, What: site.what, Pos: position(fset, site.pos)})
+			out.Opens = append(out.Opens, OpenResult{Result: returned, What: site.what, Pos: analysis.PositionOf(fset, site.pos)})
 		}
 	}
 	out.Opens = append(out.Opens, e.wrapperOpens()...)
@@ -128,7 +129,7 @@ func (e *resourceEngine) directOpens() []OpenResult {
 			if len(ret.Results) == 1 {
 				idx = resIdx
 			}
-			out = append(out, OpenResult{Result: idx, What: what, Pos: position(e.fset, call.Pos())})
+			out = append(out, OpenResult{Result: idx, What: what, Pos: analysis.PositionOf(e.fset, call.Pos())})
 		}
 		return true
 	})
@@ -279,7 +280,7 @@ func (e *resourceEngine) wrapperOpens() []OpenResult {
 			}
 			if stores {
 				seen[i] = true
-				out = append(out, OpenResult{Result: i, What: typeText(t), Pos: position(e.fset, res.Pos())})
+				out = append(out, OpenResult{Result: i, What: typeText(t), Pos: analysis.PositionOf(e.fset, res.Pos())})
 			}
 		}
 		return true
@@ -662,7 +663,7 @@ func (e *resourceEngine) calleeHandles(call *ast.CallExpr, v *types.Var, pred fu
 		if !pred(sum, i) {
 			continue
 		}
-		arg := argExpr(call, callee, i)
+		arg := callgraph.ArgExpr(call, callee, i)
 		if arg != nil && e.isUseOf(arg, v) {
 			return true
 		}

@@ -23,8 +23,6 @@ package indexbound
 import (
 	"fmt"
 	"go/token"
-	"go/types"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/vrange"
@@ -42,16 +40,9 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase("codec", "cart", "archive") {
 		return nil
 	}
-	res := vrange.Compute(pass.Fset, pass.Files, pass.TypesInfo, vrange.FactLookup(pass.Facts))
-
-	fns := make([]*types.Func, 0, len(res.Funcs))
-	for fn := range res.Funcs {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
-
-	for _, fn := range fns {
-		for _, site := range res.Funcs[fn].Sites {
+	res := vrange.Layer.Run(pass)
+	for _, fn := range res.Funcs() {
+		for _, site := range res.Output[fn].Sites {
 			if site.Proven || !site.Deriv.FromWire() {
 				continue
 			}

@@ -27,13 +27,10 @@ package sizeoverflow
 
 import (
 	"fmt"
-	"go/types"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/summary"
 	"repro/internal/analysis/taintalloc"
-	"repro/internal/analysis/vrange"
 )
 
 // Analyzer flags overflow-prone size arithmetic on wire-tainted values.
@@ -47,17 +44,9 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase("codec", "cart", "archive") {
 		return nil
 	}
-	vr := vrange.Compute(pass.Fset, pass.Files, pass.TypesInfo, vrange.FactLookup(pass.Facts))
-	res := summary.Compute(pass.Fset, pass.Files, pass.TypesInfo, summary.FactLookup(pass.Facts), vr)
-
-	fns := make([]*types.Func, 0, len(res.Flows))
-	for fn := range res.Flows {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
-
-	for _, fn := range fns {
-		flow := res.Flows[fn]
+	res := summary.Layer.Run(pass)
+	for _, fn := range res.Funcs() {
+		flow := res.Output[fn]
 		for _, h := range flow.Narrowings {
 			if !h.Taint.FromSource() {
 				continue

@@ -16,8 +16,8 @@
 // "funcsummary" analyzer fact so downstream packages reuse them through
 // the unitchecker's vetx files without access to dependency source.
 //
-// The engine is range-aware: when the caller supplies the package's
-// value-range result (internal/analysis/vrange), a sink whose size
+// The engine is range-aware: Layer computes the package's value-range
+// result (internal/analysis/vrange) first, and a sink whose size
 // expression has a *proved* finite upper bound is dropped — the range
 // analysis discharges clamps (minInt, builtin min with a constant),
 // mask/modulo reductions and guard refinements uniformly, instead of
@@ -25,9 +25,6 @@
 package summary
 
 import (
-	"encoding/json"
-	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -38,23 +35,6 @@ import (
 // FactName is the analyzer name summaries are stored under in a
 // FactStore; taintalloc and sizeoverflow read the fact directly.
 const FactName = "funcsummary"
-
-// Position is a serializable source position for facts — cross-package
-// sink sites cannot travel as token.Pos.
-type Position struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-}
-
-func toPosition(p token.Position) Position {
-	return Position{File: p.Filename, Line: p.Line, Col: p.Column}
-}
-
-// ToTokenPosition converts back for diagnostics.
-func (p Position) ToTokenPosition() token.Position {
-	return token.Position{Filename: p.File, Line: p.Line, Column: p.Col}
-}
 
 // ReturnFlow describes one result of a function.
 type ReturnFlow struct {
@@ -69,9 +49,9 @@ type ReturnFlow struct {
 // SinkParam marks a parameter that reaches an allocation sink without a
 // bounding comparison on the way.
 type SinkParam struct {
-	Param int      `json:"param"`
-	What  string   `json:"what"` // e.g. "make size", "allocating loop bound"
-	Pos   Position `json:"pos"`
+	Param int               `json:"param"`
+	What  string            `json:"what"` // e.g. "make size", "allocating loop bound"
+	Pos   analysis.Position `json:"pos"`
 	// Via names the chain of callees between this function and the sink
 	// when the flow is itself interprocedural ("readNumericColumn").
 	Via string `json:"via,omitempty"`
@@ -97,196 +77,35 @@ func (s *FuncSummary) empty() bool {
 	return true
 }
 
-func (s *FuncSummary) equal(o *FuncSummary) bool {
-	a, _ := json.Marshal(s)
-	b, _ := json.Marshal(o)
-	return string(a) == string(b)
-}
-
 // Lookup resolves the summary of a callee, or nil when unknown.
-type Lookup func(fn *types.Func) *FuncSummary
+type Lookup = analysis.Lookup[FuncSummary]
 
-// Result is one package's computed summaries plus the per-function taint
-// flows the analyzers report from.
-type Result struct {
-	// ByFunc holds the summary of every function declared in the
-	// package (empty summaries included).
-	ByFunc map[*types.Func]*FuncSummary
-	// Flows holds the final taint engine output per function: sink
-	// hits, narrowing conversions and overflow-prone products, for
-	// taintalloc and sizeoverflow to report.
-	Flows map[*types.Func]*Flow
-}
+// Result is one package's computed summaries. Output holds the final
+// taint engine output per function: sink hits, narrowing conversions
+// and overflow-prone products, for taintalloc and sizeoverflow to
+// report.
+type Result = analysis.Result[FuncSummary, *Flow]
 
-// Compute builds the call graph of the package, orders it bottom-up by
-// SCC, and runs the taint engine over every function body. imported
-// resolves summaries of cross-package callees (nil is fine: those
-// callees are treated as unknown, conservatively summary-free). ranges
-// is the package's value-range result; when non-nil, sinks whose size
-// the interval analysis proves bounded are dropped (nil keeps every
-// taint-reachable sink).
-func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported Lookup, ranges *vrange.Result) *Result {
-	g := callgraph.Build(files, info)
-	res := &Result{
-		ByFunc: map[*types.Func]*FuncSummary{},
-		Flows:  map[*types.Func]*Flow{},
-	}
-	lookup := func(fn *types.Func) *FuncSummary {
-		if s, ok := res.ByFunc[fn]; ok {
-			return s
+// Layer runs the taint engine over every function body, bottom-up. It
+// computes the package's value-range layer first: a sink whose size the
+// interval analysis proves bounded is dropped.
+var Layer = &analysis.Layer[FuncSummary, *Flow]{
+	Name: FactName,
+	Engine: func(pass *analysis.Pass) analysis.Summarize[FuncSummary, *Flow] {
+		ranges := vrange.Layer.Run(pass)
+		return func(n *callgraph.Node, lookup Lookup) (*Flow, *FuncSummary) {
+			e := &Engine{Fset: pass.Fset, Info: pass.TypesInfo, Lookup: lookup, Ranges: ranges.Output[n.Func]}
+			flow := e.Run(n.Decl)
+			return flow, flow.Summary()
 		}
-		if imported != nil {
-			return imported(fn)
-		}
-		return nil
-	}
-	for _, scc := range g.SCCs() {
-		// Inside a recursive component, callee summaries start empty
-		// and the component iterates to a fixpoint; summaries only grow
-		// (more flows, more sink params), so this terminates. Four
-		// rounds bound pathological growth: deeper mutual recursion
-		// than that stops refining, which only loses precision.
-		for round := 0; ; round++ {
-			changed := false
-			for _, n := range scc {
-				var fr *vrange.FuncResult
-				if ranges != nil {
-					fr = ranges.Funcs[n.Func]
-				}
-				e := &Engine{Fset: fset, Info: info, Lookup: lookup, Ranges: fr}
-				flow := e.Run(n.Decl)
-				sum := flow.Summary()
-				if old := res.ByFunc[n.Func]; old == nil || !old.equal(sum) {
-					changed = true
-				}
-				res.ByFunc[n.Func] = sum
-				res.Flows[n.Func] = flow
-			}
-			if !changed || round >= 3 {
-				break
-			}
-		}
-	}
-	return res
-}
-
-// Encode serializes the non-empty summaries as the package fact body.
-func (r *Result) Encode() ([]byte, error) {
-	byName := map[string]*FuncSummary{}
-	for fn, s := range r.ByFunc {
-		if !s.empty() {
-			byName[fn.FullName()] = s
-		}
-	}
-	return json.Marshal(byName)
-}
-
-// DecodeFact parses a fact blob produced by Encode.
-func DecodeFact(data []byte) (map[string]*FuncSummary, error) {
-	byName := map[string]*FuncSummary{}
-	if len(data) == 0 {
-		return byName, nil
-	}
-	if err := json.Unmarshal(data, &byName); err != nil {
-		return nil, err
-	}
-	return byName, nil
-}
-
-// FactLookup adapts a driver FactStore into a cross-package Lookup,
-// caching each dependency's decoded fact. Safe with a nil store (every
-// lookup misses).
-func FactLookup(store *analysis.FactStore) Lookup {
-	cache := map[string]map[string]*FuncSummary{}
-	return func(fn *types.Func) *FuncSummary {
-		if fn == nil || fn.Pkg() == nil {
-			return nil
-		}
-		path := fn.Pkg().Path()
-		pkg, ok := cache[path]
-		if !ok {
-			pkg, _ = DecodeFact(store.Get(path, FactName))
-			cache[path] = pkg
-		}
-		return pkg[fn.FullName()]
-	}
+	},
+	Empty: (*FuncSummary).empty,
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
 // "funcsummary" package fact that taintalloc and sizeoverflow (and any
 // future bound-checking analyzer) consume for cross-package calls.
-// Drivers run it over dependencies because Facts is set.
-var Analyzer = &analysis.Analyzer{
-	Name:  FactName,
-	Doc:   "funcsummary: compute per-function dataflow summaries (param→return flows, unguarded sink parameters, wire-source returns) bottom-up over call-graph SCCs, range-filtered through vrange, and export them as a package fact for the interprocedural analyzers",
-	Facts: true,
-	Run: func(pass *analysis.Pass) error {
-		vr := vrange.Compute(pass.Fset, pass.Files, pass.TypesInfo, vrange.FactLookup(pass.Facts))
-		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts), vr)
-		blob, err := res.Encode()
-		if err != nil {
-			return err
-		}
-		pass.ExportFact(blob)
-		return nil
-	},
-}
-
-// paramVars lists the taint-tracked parameter objects of a declaration:
-// receiver first, then parameters, in declaration order. Blank and
-// anonymous parameters occupy their index with a nil entry.
-func paramVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
-	var out []*types.Var
-	addField := func(f *ast.Field) {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			return
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			v, _ := info.Defs[name].(*types.Var)
-			out = append(out, v)
-		}
-	}
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
-			addField(f)
-		}
-	}
-	if decl.Type.Params != nil {
-		for _, f := range decl.Type.Params.List {
-			addField(f)
-		}
-	}
-	return out
-}
-
-// resultVars lists the named result objects (nil entries for unnamed),
-// for taint queries at bare returns.
-func resultVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
-	var out []*types.Var
-	if decl.Type.Results == nil {
-		return out
-	}
-	for _, f := range decl.Type.Results.List {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			continue
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			v, _ := info.Defs[name].(*types.Var)
-			out = append(out, v)
-		}
-	}
-	return out
-}
+var Analyzer = Layer.Analyzer("funcsummary: compute per-function dataflow summaries (param→return flows, unguarded sink parameters, wire-source returns) bottom-up over call-graph SCCs, range-filtered through vrange, and export them as a package fact for the interprocedural analyzers")
 
 func isIntegerKind(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)

@@ -8,7 +8,7 @@ import (
 	"go/types"
 	"testing"
 
-	"repro/internal/analysis/vrange"
+	"repro/internal/analysis"
 )
 
 func compute(t *testing.T, src string) (*Result, *types.Package, *token.FileSet) {
@@ -29,8 +29,7 @@ func compute(t *testing.T, src string) (*Result, *types.Package, *token.FileSet)
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	vr := vrange.Compute(fset, []*ast.File{f}, info, nil)
-	return Compute(fset, []*ast.File{f}, info, nil, vr), pkg, fset
+	return Layer.Compute(&analysis.Pass{Fset: fset, Files: []*ast.File{f}, TypesInfo: info}, nil), pkg, fset
 }
 
 func summaryOf(t *testing.T, res *Result, pkg *types.Package, name string) *FuncSummary {
@@ -46,7 +45,7 @@ func summaryOf(t *testing.T, res *Result, pkg *types.Package, name string) *Func
 
 func flowOf(t *testing.T, res *Result, name string) *Flow {
 	t.Helper()
-	for fn, f := range res.Flows {
+	for fn, f := range res.Output {
 		if fn.Name() == name {
 			return f
 		}
@@ -366,11 +365,11 @@ func TestFactRoundTrip(t *testing.T) {
 func alloc(n int) []byte { return make([]byte, n) }
 func clean(a, b int) int { return 42 }
 `)
-	blob, err := res.Encode()
+	blob, err := Layer.Encode(res)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	decoded, err := DecodeFact(blob)
+	decoded, err := analysis.DecodeFact[FuncSummary](blob)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -380,7 +379,7 @@ func clean(a, b int) int { return 42 }
 	if _, ok := decoded["p.clean"]; ok {
 		t.Errorf("empty summary p.clean should not be serialized")
 	}
-	if s := decoded["p.alloc"]; len(s.SinkParams) != 1 || s.SinkParams[0].Pos.Line == 0 {
-		t.Errorf("p.alloc decoded sinks = %+v, want one with a position", s.SinkParams)
+	if s := decoded["p.alloc"]; s == nil || len(s.SinkParams) != 1 || s.SinkParams[0].Pos.Line == 0 {
+		t.Errorf("p.alloc decoded sinks = %+v, want one with a position", s)
 	}
 }

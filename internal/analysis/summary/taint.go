@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
 	"repro/internal/analysis/cfg"
 	"repro/internal/analysis/vrange"
@@ -174,7 +175,7 @@ func (f *Flow) Summary() *FuncSummary {
 	seen := map[SinkParam]bool{}
 	for _, hit := range f.Sinks {
 		what, via := hit.What, ""
-		pos := toPosition(f.fset.Position(hit.Pos))
+		pos := analysis.PositionOf(f.fset, hit.Pos)
 		if hit.CalleeSink != nil {
 			what = hit.CalleeSink.What
 			via = hit.Callee.Name()
@@ -247,10 +248,10 @@ func (e *Engine) Run(decl *ast.FuncDecl) *Flow {
 	e.flow = &Flow{
 		Decl:     decl,
 		fset:     e.Fset,
-		params:   paramVars(decl, e.Info),
+		params:   callgraph.ParamVars(decl, e.Info),
 		sinkSeen: map[sinkKey]bool{},
 	}
-	e.results = resultVars(decl, e.Info)
+	e.results = callgraph.ResultVars(decl, e.Info)
 	if decl.Type.Results != nil {
 		// Count flattened results: a field may declare several names.
 		n := 0

@@ -31,13 +31,10 @@ package taintalloc
 import (
 	"fmt"
 	"go/token"
-	"go/types"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/summary"
-	"repro/internal/analysis/vrange"
 )
 
 // Analyzer flags unguarded wire-derived values reaching allocations.
@@ -51,18 +48,9 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase("codec", "cart", "archive") {
 		return nil
 	}
-	vr := vrange.Compute(pass.Fset, pass.Files, pass.TypesInfo, vrange.FactLookup(pass.Facts))
-	res := summary.Compute(pass.Fset, pass.Files, pass.TypesInfo, summary.FactLookup(pass.Facts), vr)
-
-	// Deterministic report order: by function position.
-	fns := make([]*types.Func, 0, len(res.Flows))
-	for fn := range res.Flows {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
-
-	for _, fn := range fns {
-		for _, hit := range res.Flows[fn].Sinks {
+	res := summary.Layer.Run(pass)
+	for _, fn := range res.Funcs() {
+		for _, hit := range res.Output[fn].Sinks {
 			if !hit.Taint.FromSource() {
 				continue // parameter-only taint is the caller's finding
 			}

@@ -8,6 +8,8 @@ import (
 	"go/types"
 	"sort"
 
+	"repro/internal/analysis"
+	"repro/internal/analysis/callgraph"
 	"repro/internal/analysis/cfg"
 	"repro/internal/analysis/dataflow"
 )
@@ -34,7 +36,7 @@ type Site struct {
 	// Callee is set when the site was lifted from a callee's
 	// IndexParam; CalleePos locates the site inside the callee.
 	Callee    *types.Func
-	CalleePos Position
+	CalleePos analysis.Position
 	Via       string
 
 	// baseParam/idxParam record pristine parameter indices of the
@@ -134,9 +136,9 @@ func (e *Engine) Run(decl *ast.FuncDecl) *FuncResult {
 		ExprIv:     map[ast.Expr]Interval{},
 		siteByExpr: map[ast.Expr]*Site{},
 	}
-	e.params = paramVars(decl, e.Info)
+	e.params = callgraph.ParamVars(decl, e.Info)
 	e.fr.params = e.params
-	e.results = resultVars(decl, e.Info)
+	e.results = callgraph.ResultVars(decl, e.Info)
 	nres := 0
 	if decl.Type.Results != nil {
 		for _, f := range decl.Type.Results.List {
@@ -795,7 +797,7 @@ func (e *Engine) makeRange(decl *ast.FuncDecl) *FuncRange {
 				BaseParam: -1,
 				Le:        site.AllowEq,
 				What:      site.Kind,
-				Pos:       toPosition(e.Fset.Position(site.Pos)),
+				Pos:       analysis.PositionOf(e.Fset, site.Pos),
 				Via:       site.Via,
 			}
 			if site.idxParam == p {
@@ -1832,55 +1834,4 @@ func binOp(op token.Token, a, b Interval) Interval {
 		return a.AndNot(b)
 	}
 	return Top()
-}
-
-func paramVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
-	var out []*types.Var
-	addField := func(f *ast.Field) {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			return
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			v, _ := info.Defs[name].(*types.Var)
-			out = append(out, v)
-		}
-	}
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
-			addField(f)
-		}
-	}
-	if decl.Type.Params != nil {
-		for _, f := range decl.Type.Params.List {
-			addField(f)
-		}
-	}
-	return out
-}
-
-func resultVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
-	var out []*types.Var
-	if decl.Type.Results == nil {
-		return out
-	}
-	for _, f := range decl.Type.Results.List {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			continue
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			v, _ := info.Defs[name].(*types.Var)
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -7,6 +7,8 @@ import (
 	"go/token"
 	"go/types"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 func computeSrc(t *testing.T, src string) *Result {
@@ -26,12 +28,12 @@ func computeSrc(t *testing.T, src string) *Result {
 	if _, err := cfg.Check("p", fset, []*ast.File{f}, info); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	return Compute(fset, []*ast.File{f}, info, nil)
+	return Layer.Compute(&analysis.Pass{Fset: fset, Files: []*ast.File{f}, TypesInfo: info}, nil)
 }
 
 func funcResult(t *testing.T, res *Result, name string) *FuncResult {
 	t.Helper()
-	for fn, fr := range res.Funcs {
+	for fn, fr := range res.Output {
 		if fn.Name() == name {
 			return fr
 		}

@@ -1,11 +1,6 @@
 package vrange
 
 import (
-	"encoding/json"
-	"go/ast"
-	"go/token"
-	"go/types"
-
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
 )
@@ -13,23 +8,6 @@ import (
 // FactName is the analyzer name range summaries are stored under in a
 // FactStore; indexbound and the range-aware summary engine read it.
 const FactName = "rangesummary"
-
-// Position is a serializable source position for facts — cross-package
-// sites cannot travel as token.Pos.
-type Position struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-}
-
-func toPosition(p token.Position) Position {
-	return Position{File: p.Filename, Line: p.Line, Col: p.Column}
-}
-
-// ToTokenPosition converts back for diagnostics.
-func (p Position) ToTokenPosition() token.Position {
-	return token.Position{Filename: p.File, Line: p.Line, Column: p.Col}
-}
 
 // ResultRange describes one result of a function, joined over every
 // return site.
@@ -62,11 +40,11 @@ type IndexParam struct {
 	// BaseParam is the parameter index of the indexed slice when the
 	// site indexes a parameter directly (else -1): the caller can then
 	// discharge the proof with arg < len(baseArg).
-	BaseParam int      `json:"base"`
-	Le        bool     `json:"le,omitempty"` // site allows index == len (slice bound)
-	What      string   `json:"what"`
-	Pos       Position `json:"pos"`
-	Via       string   `json:"via,omitempty"`
+	BaseParam int               `json:"base"`
+	Le        bool              `json:"le,omitempty"` // site allows index == len (slice bound)
+	What      string            `json:"what"`
+	Pos       analysis.Position `json:"pos"`
+	Via       string            `json:"via,omitempty"`
 }
 
 // FuncRange is the serialized value-range summary of one function,
@@ -90,121 +68,28 @@ func (f *FuncRange) empty() bool {
 	return true
 }
 
-func (f *FuncRange) equal(o *FuncRange) bool {
-	a, _ := json.Marshal(f)
-	b, _ := json.Marshal(o)
-	return string(a) == string(b)
-}
-
 // RLookup resolves the range summary of a callee, or nil when unknown.
-type RLookup func(fn *types.Func) *FuncRange
+type RLookup = analysis.Lookup[FuncRange]
 
-// Result is one package's computed range summaries plus the
-// per-function engine output the analyzers query.
-type Result struct {
-	// ByFunc holds the range summary of every function declared in the
-	// package (empty summaries included).
-	ByFunc map[*types.Func]*FuncRange
-	// Funcs holds the full engine output per function: expression
-	// intervals, index/slice-bound sites with proofs and derivations.
-	Funcs map[*types.Func]*FuncResult
-}
+// Result is one package's computed range summaries. Output holds the
+// full engine output per function: expression intervals, index/slice-
+// bound sites with proofs and derivations.
+type Result = analysis.Result[FuncRange, *FuncResult]
 
-// Compute builds the package call graph, orders it bottom-up by SCC,
-// and runs the range engine over every function body. imported
-// resolves summaries of cross-package callees (nil is fine).
-func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported RLookup) *Result {
-	g := callgraph.Build(files, info)
-	res := &Result{
-		ByFunc: map[*types.Func]*FuncRange{},
-		Funcs:  map[*types.Func]*FuncResult{},
-	}
-	lookup := func(fn *types.Func) *FuncRange {
-		if s, ok := res.ByFunc[fn]; ok {
-			return s
+// Layer runs the range engine over every function body, bottom-up.
+var Layer = &analysis.Layer[FuncRange, *FuncResult]{
+	Name: FactName,
+	Engine: func(pass *analysis.Pass) analysis.Summarize[FuncRange, *FuncResult] {
+		return func(n *callgraph.Node, lookup RLookup) (*FuncResult, *FuncRange) {
+			e := &Engine{Fset: pass.Fset, Info: pass.TypesInfo, Lookup: lookup}
+			fr := e.Run(n.Decl)
+			return fr, fr.Range
 		}
-		if imported != nil {
-			return imported(fn)
-		}
-		return nil
-	}
-	for _, scc := range g.SCCs() {
-		// Same fixpoint discipline as funcsummary: recursive components
-		// iterate until summaries stop changing, bounded at four rounds.
-		for round := 0; ; round++ {
-			changed := false
-			for _, n := range scc {
-				e := &Engine{Fset: fset, Info: info, Lookup: lookup}
-				fr := e.Run(n.Decl)
-				if old := res.ByFunc[n.Func]; old == nil || !old.equal(fr.Range) {
-					changed = true
-				}
-				res.ByFunc[n.Func] = fr.Range
-				res.Funcs[n.Func] = fr
-			}
-			if !changed || round >= 3 {
-				break
-			}
-		}
-	}
-	return res
-}
-
-// Encode serializes the non-empty summaries as the package fact body.
-func (r *Result) Encode() ([]byte, error) {
-	byName := map[string]*FuncRange{}
-	for fn, s := range r.ByFunc {
-		if !s.empty() {
-			byName[fn.FullName()] = s
-		}
-	}
-	return json.Marshal(byName)
-}
-
-// DecodeFact parses a fact blob produced by Encode.
-func DecodeFact(data []byte) (map[string]*FuncRange, error) {
-	byName := map[string]*FuncRange{}
-	if len(data) == 0 {
-		return byName, nil
-	}
-	if err := json.Unmarshal(data, &byName); err != nil {
-		return nil, err
-	}
-	return byName, nil
-}
-
-// FactLookup adapts a driver FactStore into a cross-package RLookup,
-// caching each dependency's decoded fact. Safe with a nil store.
-func FactLookup(store *analysis.FactStore) RLookup {
-	cache := map[string]map[string]*FuncRange{}
-	return func(fn *types.Func) *FuncRange {
-		if fn == nil || fn.Pkg() == nil {
-			return nil
-		}
-		path := fn.Pkg().Path()
-		pkg, ok := cache[path]
-		if !ok {
-			pkg, _ = DecodeFact(store.Get(path, FactName))
-			cache[path] = pkg
-		}
-		return pkg[fn.FullName()]
-	}
+	},
+	Empty: (*FuncRange).empty,
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
 // "rangesummary" package fact that indexbound and the range-aware
 // taintalloc/sizeoverflow upgrade consume for cross-package calls.
-var Analyzer = &analysis.Analyzer{
-	Name:  FactName,
-	Doc:   "rangesummary: compute per-function value-range summaries (result intervals, min-of-params clamp shapes, wire-derived results, unproven param-indexed sites) bottom-up over call-graph SCCs and export them as a package fact for the range-aware analyzers",
-	Facts: true,
-	Run: func(pass *analysis.Pass) error {
-		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts))
-		blob, err := res.Encode()
-		if err != nil {
-			return err
-		}
-		pass.ExportFact(blob)
-		return nil
-	},
-}
+var Analyzer = Layer.Analyzer("rangesummary: compute per-function value-range summaries (result intervals, min-of-params clamp shapes, wire-derived results, unproven param-indexed sites) bottom-up over call-graph SCCs and export them as a package fact for the range-aware analyzers")

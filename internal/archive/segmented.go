@@ -378,11 +378,14 @@ type QueryStats struct {
 }
 
 // Query runs q against the archive, decoding only segments whose zone
-// maps cannot refute the WHERE predicate. Tolerances (quantile forms
-// included) resolve against archive-wide footer ranges, and the query
-// evaluates with the archive-wide row count and value bounds in scope,
-// so the result — definite rows, uncertain rows and interval bounds —
-// is identical to decoding every segment and querying the whole table.
+// maps cannot refute the WHERE predicate. The query evaluates with the
+// archive-wide row count and value bounds in scope. Tolerances (quantile
+// forms included) resolve against the archive-wide zone-map ranges: the
+// union of every segment's tolerance-widened zones. Those ranges are
+// usually wider than the decoded table's, so a quantile tolerance can
+// resolve to a larger absolute value here than in a full decode, and
+// the interval bounds (Lo/Hi) can be wider than querying the whole
+// decoded table would give.
 func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
 	if sr.closed {
 		return nil, nil, ErrReaderClosed
@@ -396,8 +399,8 @@ func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, 
 	}
 	// Archive-wide value bounds: the union of the (tolerance-widened)
 	// segment zones. Resolving quantile tolerances against these instead
-	// of a pruned subset's narrower ranges keeps the error bounds the
-	// full-decode path would use.
+	// of a pruned subset's narrower ranges keeps the bounds independent
+	// of which segments the predicate prunes.
 	scope := &query.Scope{TotalRows: sr.rows, Ranges: make(map[string][2]float64)}
 	ranges := make([]float64, len(sr.schema))
 	for i, a := range sr.schema {
