@@ -8,8 +8,10 @@ import (
 )
 
 // Segmented archives: tables far larger than memory compress in bounded
-// space by splitting rows into segments, each independently semantically
-// compressed (concurrently, on a bounded worker pool). The archive's
+// space by splitting rows into segments. CompressArchive builds one plan
+// from a sample of the whole table and applies it to every segment
+// concurrently, on a bounded worker pool; every segment is a standalone
+// stream that carries its own copy of the plan's models. The archive's
 // footer records per-segment byte extents, row counts and zone maps, so
 // seekable readers decode segments on demand and queries skip segments
 // their predicate provably excludes.

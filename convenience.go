@@ -28,9 +28,6 @@ func DecompressBytes(data []byte) (*Table, error) {
 // every categorical column's mismatch rate within its probability bound.
 // A nil tolerance vector demands exact equality (lossless).
 func Verify(original, restored *Table, tol Tolerances) error {
-	if tol == nil {
-		tol = table.ZeroTolerances(original)
-	}
 	resolved, err := tol.Resolve(original)
 	if err != nil {
 		return err

@@ -1,11 +1,12 @@
 // Package archive provides a segmented ("row-group") container for
 // SPARTAN streams, so tables far larger than memory compress in bounded
 // space and decode with seek-and-prune access: rows arrive in segments,
-// each segment is independently semantically compressed (its own sample,
-// models and outliers), and the archive ends in a footer of per-segment
-// metadata — byte offset, length, row count and per-column zone maps —
-// that lets readers skip segments a predicate provably excludes without
-// touching their bodies.
+// each a standalone semantically compressed stream with its own copy of
+// the models and its own outliers (WriteTable plans once per table, a
+// streaming Writer once per block), and the archive ends in a footer of
+// per-segment metadata — byte offset, length, row count and per-column
+// zone maps — that lets readers skip segments a predicate provably
+// excludes without touching their bodies.
 //
 // Format v2 ("SPARC2\n"): magic, then for each segment a uvarint byte
 // length followed by a standard codec stream; a zero length terminates
@@ -76,7 +77,6 @@ type Writer struct {
 	schema table.Schema
 	segs   []SegmentInfo
 	off    int64 // stream offset where the next frame's prefix lands
-	blocks int
 	total  int64 // final archive size, set by Close
 	err    error // first write error; sticky
 	closed bool
@@ -103,7 +103,7 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 	if aw.closed {
 		return nil, fmt.Errorf("archive: writer is closed")
 	}
-	if err := aw.noteSchema(t.Schema()); err != nil {
+	if err := noteSchema(&aw.schema, t.Schema()); err != nil {
 		return nil, err
 	}
 	// Vary the sampling seed per segment so pathological segment orderings
@@ -112,9 +112,9 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	opts.Seed += int64(aw.blocks)
+	opts.Seed += int64(len(aw.segs))
 
-	var block countBuffer
+	var block bytes.Buffer
 	stats, err := core.Compress(&block, t, opts)
 	if err != nil {
 		return nil, err // nothing reached the stream; the writer stays usable
@@ -123,20 +123,20 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := aw.appendFrame(block.data, t.NumRows(), zones); err != nil {
+	if err := aw.appendFrame(block.Bytes(), t.NumRows(), zones); err != nil {
 		return nil, err
 	}
 	return stats, nil
 }
 
-// noteSchema records the archive schema from the first segment and
-// rejects drift on later ones.
-func (aw *Writer) noteSchema(s table.Schema) error {
-	if aw.schema == nil {
-		aw.schema = s.Clone()
+// noteSchema records the archive schema in *have from the first segment
+// and rejects drift on later ones.
+func noteSchema(have *table.Schema, s table.Schema) error {
+	if *have == nil {
+		*have = s.Clone()
 		return nil
 	}
-	return sameSchema(aw.schema, s)
+	return sameSchema(*have, s)
 }
 
 // appendFrame writes one length-prefixed frame and records its footer
@@ -163,17 +163,16 @@ func (aw *Writer) appendFrame(frame []byte, rows int, zones []ZoneMap) error {
 		Zones:  zones,
 	})
 	aw.off += int64(n) + int64(len(frame))
-	aw.blocks++
 	return nil
 }
 
 // Blocks returns how many segments have been written.
-func (aw *Writer) Blocks() int { return aw.blocks }
+func (aw *Writer) Blocks() int { return len(aw.segs) }
 
 // Close writes the terminator, footer and trailer, then flushes. The
 // writer cannot be reused. After a latched write error Close performs no
 // further writes and surfaces that error instead.
-func (aw *Writer) Close() error {
+func (aw *Writer) Close() (err error) {
 	if aw.closed {
 		return aw.err
 	}
@@ -181,8 +180,8 @@ func (aw *Writer) Close() error {
 	if aw.err != nil {
 		return aw.err
 	}
+	defer func() { aw.err = err }()
 	if err := aw.w.WriteByte(0); err != nil { // uvarint(0) terminator
-		aw.err = err
 		return err
 	}
 	// Serialize the footer to memory first: the trailer needs its CRC and
@@ -191,40 +190,27 @@ func (aw *Writer) Close() error {
 	var fbuf bytes.Buffer
 	fbw := bufio.NewWriter(&fbuf)
 	if err := writeFooter(fbw, aw.schema, aw.segs); err != nil {
-		aw.err = err
 		return err
 	}
 	if err := fbw.Flush(); err != nil {
-		aw.err = err
 		return err
 	}
 	foot := fbuf.Bytes()
 	trailer, err := makeTrailer(foot)
 	if err != nil {
-		aw.err = err
 		return err
 	}
 	if _, err := aw.w.Write(foot); err != nil {
-		aw.err = err
 		return err
 	}
 	if _, err := aw.w.Write(trailer[:]); err != nil {
-		aw.err = err
 		return err
 	}
 	if err := aw.w.Flush(); err != nil {
-		aw.err = err
 		return err
 	}
 	aw.total = aw.off + 1 + int64(len(foot)) + int64(len(trailer))
 	return nil
-}
-
-type countBuffer struct{ data []byte }
-
-func (b *countBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
 }
 
 func sameSchema(a, b table.Schema) error {
@@ -303,18 +289,10 @@ func (ar *Reader) Next() (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ar.noteSchema(t.Schema()); err != nil {
+	if err := noteSchema(&ar.schema, t.Schema()); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-func (ar *Reader) noteSchema(s table.Schema) error {
-	if ar.schema == nil {
-		ar.schema = s.Clone()
-		return nil
-	}
-	return sameSchema(ar.schema, s)
 }
 
 // decodeFrame decodes one in-memory frame and verifies the codec stream
@@ -339,12 +317,9 @@ func readFrameBytes(r io.Reader, n uint64) ([]byte, error) {
 	if n > maxArchiveBytes {
 		return nil, fmt.Errorf("implausible segment length %d", n)
 	}
-	dst := make([]byte, 0, minInt(int(n), chunk))
+	dst := make([]byte, 0, min(n, chunk))
 	for uint64(len(dst)) < n {
-		want := n - uint64(len(dst))
-		if want > chunk {
-			want = chunk
-		}
+		want := min(n-uint64(len(dst)), chunk)
 		start := len(dst)
 		dst = append(dst, make([]byte, want)...)
 		if _, err := io.ReadFull(r, dst[start:]); err != nil {
@@ -352,13 +327,6 @@ func readFrameBytes(r io.Reader, n uint64) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // decodeFrames decodes every frame concurrently and in order. The

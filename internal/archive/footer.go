@@ -73,9 +73,6 @@ type SegmentInfo struct {
 // zones are widened by the segment's resolved tolerance so decoded
 // (lossy) values provably stay inside them; tol may be nil for lossless.
 func computeZones(t *table.Table, tol table.Tolerances) ([]ZoneMap, error) {
-	if tol == nil {
-		tol = table.ZeroTolerances(t)
-	}
 	resolved, err := tol.Resolve(t)
 	if err != nil {
 		return nil, err
@@ -195,7 +192,7 @@ func readFooter(br *bufio.Reader, size int64, lim codec.DecodeLimits) (table.Sch
 	}
 	// Grow incrementally so a lying count cannot force a huge allocation
 	// before the footer bytes run out.
-	segs := make([]SegmentInfo, 0, minInt(int(nsegs), 1<<12))
+	segs := make([]SegmentInfo, 0, min(int(nsegs), 1<<12))
 	for s := uint64(0); s < nsegs; s++ {
 		off, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -1,7 +1,7 @@
 // Segment-parallel archive construction and footer-driven reading.
-// WriteTable splits a table into row segments and compresses them on a
-// bounded worker pool — each segment's SPARTAN pipeline (sample, model
-// selection, CaRT construction, outlier scan) is independent — while a
+// WriteTable builds one SPARTAN plan (sample, network, CaRT selection)
+// from the whole table and applies it to each row segment (row
+// aggregation, outlier scan, encode) on a bounded worker pool, while a
 // single writer goroutine appends frames strictly in segment order, so
 // the output bytes are identical at any worker count. SegReader opens
 // the footer of a seekable v2 archive and decodes segment bodies on
@@ -44,15 +44,12 @@ type SegmentOptions struct {
 	Workers int
 }
 
-func (o SegmentOptions) withDefaults(rows int) SegmentOptions {
+func (o SegmentOptions) withDefaults() SegmentOptions {
 	if o.SegmentRows <= 0 {
 		o.SegmentRows = DefaultSegmentRows
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if nseg := (rows + o.SegmentRows - 1) / o.SegmentRows; o.Workers > nseg && nseg > 0 {
-		o.Workers = nseg
 	}
 	return o
 }
@@ -83,19 +80,24 @@ func WriteTable(w io.Writer, t *table.Table, opts core.Options, seg SegmentOptio
 	return WriteTableContext(context.Background(), w, t, opts, seg)
 }
 
-// WriteTableContext splits t into row segments and compresses them
-// concurrently (bounded by seg.Workers), writing frames in segment
-// order. Output bytes are deterministic: each segment's sampling seed is
-// derived from its index exactly as sequential WriteBlock calls would
-// derive it, so any worker count — including 1 — produces identical
-// archives. Cancelling ctx abandons in-flight segments and returns.
+// WriteTableContext builds one plan from a sample of the whole table
+// (core.NewPlan) and applies it to t's row segments concurrently
+// (bounded by seg.Workers), writing frames in segment order. Quantile
+// tolerances resolve against each segment's own rows. Any worker count,
+// including 1, produces identical bytes. Cancelling ctx abandons
+// in-flight segments and returns.
 func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts core.Options, seg SegmentOptions) (*TableStats, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("archive: nil or empty table")
 	}
 	rows := t.NumRows()
-	seg = seg.withDefaults(rows)
-	nseg := (rows + seg.SegmentRows - 1) / seg.SegmentRows
+	seg = seg.withDefaults()
+	// Round up by remainder, not by adding SegmentRows−1, which overflows
+	// for a SegmentRows near math.MaxInt.
+	nseg := rows / seg.SegmentRows
+	if rows%seg.SegmentRows != 0 {
+		nseg++
+	}
 
 	aw, err := NewWriter(w, opts)
 	if err != nil {
@@ -109,8 +111,12 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 		}
 		return &TableStats{CompressedBytes: int(aw.total)}, nil
 	}
-	if err := aw.noteSchema(t.Schema()); err != nil {
+	if err := noteSchema(&aw.schema, t.Schema()); err != nil {
 		return nil, err
+	}
+	plan, err := core.NewPlan(ctx, t, opts)
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
@@ -136,7 +142,7 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 			}
 			go func(i int) {
 				defer func() { <-sem }()
-				results[i] <- compressSegment(cctx, t, i, seg, opts)
+				results[i] <- compressSegment(cctx, plan, t, i*seg.SegmentRows, seg.SegmentRows, opts.Tolerances)
 			}(i)
 		}
 	}()
@@ -163,16 +169,11 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 	return stats, nil
 }
 
-// compressSegment compresses rows [idx·segRows, idx·segRows+segRows) of
-// t into a frame. It only reads t, so segments compress concurrently
-// over one shared table.
-func compressSegment(ctx context.Context, t *table.Table, idx int, seg SegmentOptions, opts core.Options) segResult {
-	lo := idx * seg.SegmentRows
-	hi := lo + seg.SegmentRows
-	if hi > t.NumRows() {
-		hi = t.NumRows()
-	}
-	sel := make([]int, hi-lo)
+// compressSegment applies plan to the n rows of t from lo (fewer in the
+// last segment) and frames the result. It only reads t and plan, so
+// segments compress concurrently over one shared table.
+func compressSegment(ctx context.Context, plan *core.Plan, t *table.Table, lo, n int, tol table.Tolerances) segResult {
+	sel := make([]int, min(n, t.NumRows()-lo))
 	for i := range sel {
 		sel[i] = lo + i
 	}
@@ -180,27 +181,13 @@ func compressSegment(ctx context.Context, t *table.Table, idx int, seg SegmentOp
 	if err != nil {
 		return segResult{err: err}
 	}
-	// Same per-segment seed rule as sequential WriteBlock calls, so the
-	// parallel path emits byte-identical frames.
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	opts.Seed += int64(idx)
-	if seg.Workers > 1 {
-		// Segment-level parallelism already saturates the cores; don't
-		// multiply it by the outlier scan's internal fan-out.
-		opts.ScanWorkers = 1
-	}
-	var frame countBuffer
-	stats, err := core.CompressContext(ctx, &frame, part, opts)
+	var frame bytes.Buffer
+	stats, err := plan.Apply(ctx, &frame, part)
 	if err != nil {
 		return segResult{err: err}
 	}
-	zones, err := computeZones(part, opts.Tolerances)
-	if err != nil {
-		return segResult{err: err}
-	}
-	return segResult{frame: frame.data, rows: part.NumRows(), zones: zones, stats: stats}
+	zones, err := computeZones(part, tol)
+	return segResult{frame: frame.Bytes(), rows: part.NumRows(), zones: zones, stats: stats, err: err}
 }
 
 // SegReader reads a v2 archive through its footer: segments decode on
@@ -354,16 +341,31 @@ func (sr *SegReader) Segment(i int) (*table.Table, error) {
 // ReadAll decodes every segment (concurrently, bounded at GOMAXPROCS)
 // and concatenates the rows. An empty archive returns ErrEmptyArchive.
 func (sr *SegReader) ReadAll() (*table.Table, error) {
-	frames := make([][]byte, len(sr.segs))
-	for i := range sr.segs {
+	all := make([]int, len(sr.segs))
+	for i := range all {
+		all[i] = i
+	}
+	return sr.readMerged(all)
+}
+
+// readMerged decodes segments idx concurrently, checks each against its
+// footer row count, and concatenates their rows in order.
+func (sr *SegReader) readMerged(idx []int) (*table.Table, error) {
+	frames := make([][]byte, len(idx))
+	for k, i := range idx {
 		var err error
-		if frames[i], err = sr.frame(i); err != nil {
+		if frames[k], err = sr.frame(i); err != nil {
 			return nil, err
 		}
 	}
 	tables, err := decodeFrames(frames, sr.lim)
 	if err != nil {
 		return nil, err
+	}
+	for k, t := range tables {
+		if i := idx[k]; t.NumRows() != sr.segs[i].Rows {
+			return nil, fmt.Errorf("archive: segment %d decoded %d rows, footer records %d", i, t.NumRows(), sr.segs[i].Rows)
+		}
 	}
 	return mergeTables(tables)
 }
@@ -462,25 +464,8 @@ func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, 
 		if t, err = table.New(sr.schema.Clone(), cols); err != nil {
 			return nil, nil, err
 		}
-	} else {
-		frames := make([][]byte, len(kept))
-		for k, i := range kept {
-			if frames[k], err = sr.frame(i); err != nil {
-				return nil, nil, err
-			}
-		}
-		tables, err := decodeFrames(frames, sr.lim)
-		if err != nil {
-			return nil, nil, err
-		}
-		for k, dt := range tables {
-			if dt.NumRows() != sr.segs[kept[k]].Rows {
-				return nil, nil, fmt.Errorf("archive: segment %d decoded %d rows, footer records %d", kept[k], dt.NumRows(), sr.segs[kept[k]].Rows)
-			}
-		}
-		if t, err = mergeTables(tables); err != nil {
-			return nil, nil, err
-		}
+	} else if t, err = sr.readMerged(kept); err != nil {
+		return nil, nil, err
 	}
 	res, err := query.RunScoped(t, tol, q, scope)
 	if err != nil {

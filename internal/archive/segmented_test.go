@@ -6,10 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
 )
@@ -92,8 +95,7 @@ func TestWriteTableRoundTrip(t *testing.T) {
 }
 
 // TestParallelDeterminism: the archive bytes must not depend on the
-// worker count, and must match what sequential WriteBlock calls over the
-// same row split produce.
+// worker count.
 func TestParallelDeterminism(t *testing.T) {
 	tb := datagen.CDR(2000, 11)
 	write := func(workers int) []byte {
@@ -103,27 +105,133 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial := write(1)
-	parallel := write(4)
-	if !bytes.Equal(serial, parallel) {
+	if !bytes.Equal(write(1), write(4)) {
 		t.Fatal("parallel archive bytes differ from sequential")
 	}
-	// Sequential WriteBlock over the same split.
+}
+
+// TestWriteTablePlansOnce: a segmented write builds its models once, from
+// the whole table, and applies them to every segment. Each segment must
+// still decode within the tolerances resolved against its own rows,
+// down to a 1-row trailing segment.
+func TestWriteTablePlansOnce(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(int, int64) *table.Table
+	}{
+		{"cdr", datagen.CDR},
+		{"census", datagen.Census},
+		{"corel", datagen.Corel},
+		{"forest", datagen.ForestCover},
+	}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			tb := g.gen(1501, 5)
+			tol := table.UniformTolerances(tb, 0.02, 0.05)
+			tr := obs.NewTrace("write")
+			var buf bytes.Buffer
+			stats, err := WriteTableContext(context.Background(), &buf, tb,
+				core.Options{Tolerances: tol, Trace: tr}, SegmentOptions{SegmentRows: 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Segments != 4 {
+				t.Fatalf("segments = %d, want 4", stats.Segments)
+			}
+			spans := map[string]int{}
+			for _, sp := range tr.Spans() {
+				spans[sp.Name]++
+			}
+			for name, want := range map[string]int{
+				core.SpanDependencyFinder: 1, core.SpanCaRTSelection: 1,
+				core.SpanRowAggregation: 4, core.SpanOutlierScan: 4, core.SpanEncode: 4,
+			} {
+				if spans[name] != want {
+					t.Errorf("%d %s spans, want %d", spans[name], name, want)
+				}
+			}
+			for i, st := range stats.PerSegment {
+				if !slices.Equal(st.Predicted, stats.PerSegment[0].Predicted) {
+					t.Errorf("segment %d predicts %v, segment 0 %v", i, st.Predicted, stats.PerSegment[0].Predicted)
+				}
+				if st.CartsBuilt != 0 || st.Timings.DependencyFinder != 0 || st.Timings.CaRTSelection != 0 {
+					t.Errorf("segment %d stats carry plan figures: %+v", i, st)
+				}
+			}
+			sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := splitBlocks(t, tb, 500)
+			if n := blocks[len(blocks)-1].NumRows(); n != 1 {
+				t.Fatalf("trailing segment has %d rows, want 1", n)
+			}
+			for i, orig := range blocks {
+				back, err := sr.Segment(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resolved, err := tol.Resolve(orig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWithin(t, i, orig, back, resolved)
+			}
+		})
+	}
+}
+
+// checkWithin fails the test unless every numeric value of back lies
+// within its resolved tolerance of orig, and no categorical column has
+// more mismatches than its probability budget allows.
+func checkWithin(t *testing.T, seg int, orig, back *table.Table, resolved table.Tolerances) {
+	t.Helper()
+	if back.NumRows() != orig.NumRows() {
+		t.Fatalf("segment %d: %d rows, want %d", seg, back.NumRows(), orig.NumRows())
+	}
+	for c := 0; c < orig.NumCols(); c++ {
+		wrong := 0
+		for r := 0; r < orig.NumRows(); r++ {
+			if orig.Attr(c).Kind == table.Numeric {
+				if d := math.Abs(orig.Float(r, c) - back.Float(r, c)); d > resolved[c].Value+1e-9 {
+					t.Errorf("segment %d row %d %s: off by %g, tolerance %g", seg, r, orig.Attr(c).Name, d, resolved[c].Value)
+				}
+			} else if orig.CatString(r, c) != back.CatString(r, c) {
+				wrong++
+			}
+		}
+		if budget := int(resolved[c].Value * float64(orig.NumRows())); orig.Attr(c).Kind == table.Categorical && wrong > budget {
+			t.Errorf("segment %d %s: %d mismatches, budget %d", seg, orig.Attr(c).Name, wrong, budget)
+		}
+	}
+}
+
+// TestWriteTableHugeSegmentRows: a SegmentRows near math.MaxInt must put
+// the whole table in one segment, not overflow the segment count to zero
+// and write an empty archive.
+func TestWriteTableHugeSegmentRows(t *testing.T) {
+	tb := datagen.CDR(100, 3)
 	var buf bytes.Buffer
-	aw, err := NewWriter(&buf, core.Options{})
+	stats, err := WriteTable(&buf, tb, core.Options{}, SegmentOptions{SegmentRows: math.MaxInt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, block := range splitBlocks(t, tb, 500) {
-		if _, err := aw.WriteBlock(block); err != nil {
-			t.Fatal(err)
-		}
+	if stats.Segments != 1 {
+		t.Fatalf("segments = %d, want 1", stats.Segments)
 	}
-	if err := aw.Close(); err != nil {
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serial, buf.Bytes()) {
-		t.Fatal("WriteTable bytes differ from sequential WriteBlock calls")
+	if sr.NumSegments() != 1 || sr.Info(0).Rows != tb.NumRows() {
+		t.Fatalf("footer: %d segments, first holds %d rows; want 1 holding %d", sr.NumSegments(), sr.Info(0).Rows, tb.NumRows())
+	}
+	back, err := sr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !table.Equal(tb, back) {
+		t.Error("round trip changed the table")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -96,11 +97,6 @@ type Options struct {
 	// Seed fixes all sampling randomness; zero means seed 1. Compression
 	// is fully deterministic for a given (table, options) pair.
 	Seed int64
-	// ScanWorkers bounds the outlier scan's concurrency; zero selects
-	// GOMAXPROCS. Segmented archive writers set 1 so segment-level
-	// parallelism is not multiplied by per-segment scan parallelism.
-	// The setting affects scheduling only, never output bytes.
-	ScanWorkers int
 	// Trace, when non-nil, receives one span per pipeline component
 	// (see PhaseSpans) under a SpanCompress root, annotated with rows
 	// scanned, CaRTs built, outliers found and bytes written. Tracing is
@@ -149,7 +145,7 @@ type Stats struct {
 
 	Predicted    []string // names of CaRT-predicted attributes
 	Materialized []string // names of materialized attributes
-	CartsBuilt   int      // CaRTs constructed during selection
+	CartsBuilt   int      // CaRTs constructed during selection (0 from Plan.Apply)
 	Outliers     int      // total outlier values stored
 	Fascicles    int      // fascicles found by the RowAggregator
 
@@ -175,34 +171,83 @@ func Compress(w io.Writer, t *table.Table, opts Options) (*Stats, error) {
 // abandons the run within milliseconds. The returned error wraps
 // ctx.Err() together with the phase the run died in, and the trace span
 // of that phase (plus the root) is annotated cancelled=true.
-func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Options) (*Stats, error) {
-	if t == nil || t.NumCols() == 0 {
-		return nil, fmt.Errorf("spartan: nil or empty table")
-	}
-	opts = opts.withDefaults()
-	tol := opts.Tolerances
-	if tol == nil {
-		tol = table.ZeroTolerances(t)
-	}
-	resolved, err := tol.Resolve(t)
-	if err != nil {
-		return nil, err
-	}
-	stats := &Stats{RawBytes: t.RawSizeBytes()}
-	rng := rand.New(rand.NewSource(opts.Seed))
+//
+// It is NewPlan(t) then Apply(t) under one SpanCompress root.
+func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Options) (stats *Stats, err error) {
+	err = inRoot(t, opts.Trace, func(root *obs.Span) error {
+		p, err := newPlan(ctx, root, t, opts)
+		if err == nil {
+			stats, err = p.apply(ctx, root, w, t, &Stats{CartsBuilt: p.sel.CartsBuilt, Timings: p.timings})
+		}
+		return err
+	})
+	return stats, err
+}
 
-	// Tracing is unconditional: Timings is read off the spans, and a
-	// caller-supplied Trace additionally sees every span (plus whatever
-	// observer it registered via OnSpanEnd).
-	tr := opts.Trace
+// Plan holds the models built once from a sample of a table (paper
+// §2.3). It is read-only, so concurrent Apply calls may share it.
+type Plan struct {
+	opts    Options // defaults applied
+	schema  table.Schema
+	dicts   [][]string // the dictionaries the models' category codes index
+	sel     *selector.Result
+	timings Timings // DependencyFinder and CaRTSelection only
+}
+
+// NewPlan runs the dependency_finder and cart_selection phases on a
+// sample of t, with tolerances resolved against t.
+func NewPlan(ctx context.Context, t *table.Table, opts Options) (p *Plan, err error) {
+	err = inRoot(t, opts.Trace, func(root *obs.Span) (err error) {
+		p, err = newPlan(ctx, root, t, opts)
+		return err
+	})
+	return p, err
+}
+
+// Apply runs the row_aggregation, outlier_scan and encode phases on
+// rows, which must share the planned table's schema and dictionaries
+// (any SelectRows of it does). Tolerances resolve against rows. The
+// Stats leave the plan's CartsBuilt and timings zero.
+func (p *Plan) Apply(ctx context.Context, w io.Writer, rows *table.Table) (stats *Stats, err error) {
+	err = inRoot(rows, p.opts.Trace, func(root *obs.Span) (err error) {
+		stats, err = p.apply(ctx, root, w, rows, &Stats{})
+		return err
+	})
+	return stats, err
+}
+
+// inRoot runs fn under a SpanCompress root on tr, or on a private trace
+// (Timings is read off the spans), marking it cancelled=true if need be.
+func inRoot(t *table.Table, tr *obs.Trace, fn func(root *obs.Span) error) error {
+	if t == nil || t.NumCols() == 0 {
+		return fmt.Errorf("spartan: nil or empty table")
+	}
 	if tr == nil {
 		tr = obs.NewTrace(SpanCompress)
 	}
-	root := tr.Start(SpanCompress)
-	root.SetAttr("rows", t.NumRows()).
+	root := tr.Start(SpanCompress).
+		SetAttr("rows", t.NumRows()).
 		SetAttr("cols", t.NumCols()).
-		SetAttr("raw_bytes", stats.RawBytes)
+		SetAttr("raw_bytes", t.RawSizeBytes())
 	defer root.Finish()
+	err := fn(root)
+	if isCancellation(err) {
+		root.SetAttr("cancelled", true)
+	}
+	return err
+}
+
+func newPlan(ctx context.Context, root *obs.Span, t *table.Table, opts Options) (*Plan, error) {
+	opts = opts.withDefaults()
+	resolved, err := opts.Tolerances.Resolve(t)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{opts: opts, schema: t.Schema()}
+	for a := range p.schema {
+		p.dicts = append(p.dicts, t.Col(a).Dict)
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// DependencyFinder: Bayesian network on a sample. A quarter of the
 	// sample budget is held out for honest prediction-cost estimates
@@ -211,7 +256,7 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		sample, build, holdout *table.Table
 		net                    *bayesnet.Network
 	)
-	err = runPhase(ctx, root, SpanDependencyFinder, &stats.Timings.DependencyFinder, func(sp *obs.Span) error {
+	err = runPhase(ctx, root, SpanDependencyFinder, &p.timings.DependencyFinder, func(sp *obs.Span) error {
 		sample = t.SampleBytes(opts.SampleBytes, rng)
 		var err error
 		build, holdout, err = splitSample(sample)
@@ -227,14 +272,13 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
 	}
 
 	// CaRTSelector. Materialization costs are estimated by entropy-coding
 	// the sample's columns, so the MaterCost-vs-PredCost trade-off matches
 	// what the T' encoder actually achieves.
-	var plan *selector.Result
-	err = runPhase(ctx, root, SpanCaRTSelection, &stats.Timings.CaRTSelection, func(sp *obs.Span) error {
+	err = runPhase(ctx, root, SpanCaRTSelection, &p.timings.CaRTSelection, func(sp *obs.Span) error {
 		cost := cart.NewCostModel(t)
 		materBits, err := estimateMaterBits(sample)
 		if err != nil {
@@ -253,39 +297,55 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		}
 		switch opts.Selection {
 		case SelectGreedy:
-			plan, err = selector.GreedyContext(ctx, in, opts.Theta)
+			p.sel, err = selector.GreedyContext(ctx, in, opts.Theta)
 		case SelectWMISMarkov:
-			plan, err = selector.MaxIndependentSetContext(ctx, in, selector.MarkovBlanket)
+			p.sel, err = selector.MaxIndependentSetContext(ctx, in, selector.MarkovBlanket)
 		default:
-			plan, err = selector.MaxIndependentSetContext(ctx, in, selector.Parents)
+			p.sel, err = selector.MaxIndependentSetContext(ctx, in, selector.Parents)
 		}
 		if err != nil {
 			return fmt.Errorf("spartan: CaRT selection: %w", err)
 		}
-		stats.CartsBuilt = plan.CartsBuilt
-		for _, a := range plan.Predicted {
-			stats.Predicted = append(stats.Predicted, t.Attr(a).Name)
-		}
-		for _, a := range plan.Materialized {
-			stats.Materialized = append(stats.Materialized, t.Attr(a).Name)
-		}
 		sp.SetAttr("strategy", opts.Selection.String()).
-			SetAttr("carts_built", plan.CartsBuilt).
-			SetAttr("predicted", len(plan.Predicted)).
-			SetAttr("materialized", len(plan.Materialized))
+			SetAttr("carts_built", p.sel.CartsBuilt).
+			SetAttr("predicted", len(p.sel.Predicted)).
+			SetAttr("materialized", len(p.sel.Materialized))
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
+	}
+	return p, nil
+}
+
+// apply fills stats in with one Apply run over t.
+func (p *Plan) apply(ctx context.Context, root *obs.Span, w io.Writer, t *table.Table, stats *Stats) (*Stats, error) {
+	ok := slices.Equal(t.Schema(), p.schema)
+	for a := 0; ok && a < len(p.dicts); a++ {
+		ok = slices.Equal(t.Col(a).Dict, p.dicts[a])
+	}
+	if !ok {
+		return nil, fmt.Errorf("spartan: rows do not have the planned schema and dictionaries")
+	}
+	resolved, err := p.opts.Tolerances.Resolve(t)
+	if err != nil {
+		return nil, err
+	}
+	stats.RawBytes = t.RawSizeBytes()
+	for _, a := range p.sel.Predicted {
+		stats.Predicted = append(stats.Predicted, t.Attr(a).Name)
+	}
+	for _, a := range p.sel.Materialized {
+		stats.Materialized = append(stats.Materialized, t.Attr(a).Name)
 	}
 
 	// RowAggregator: fascicle-quantize the materialized projection without
 	// crossing any CaRT split value.
 	applyTable := t
 	err = runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
-		if !opts.DisableRowAggregation && len(plan.Materialized) > 0 {
+		if !p.opts.DisableRowAggregation && len(p.sel.Materialized) > 0 {
 			var err error
-			applyTable, stats.Fascicles, err = rowAggregate(ctx, t, plan, resolved, opts)
+			applyTable, stats.Fascicles, err = rowAggregate(ctx, t, p.sel, resolved, p.opts)
 			if err != nil {
 				return fmt.Errorf("spartan: row aggregation: %w", err)
 			}
@@ -294,38 +354,36 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
 	}
 
 	// Outlier scan: one pass over the full table per model (paper §2.3:
 	// "SPARTAN then uses the CaRTs built to compress the full data set in
 	// one pass").
-	models := make([]*cart.Model, len(plan.Predicted))
+	models := make([]*cart.Model, len(p.sel.Predicted))
 	err = runPhase(ctx, root, SpanOutlierScan, &stats.Timings.OutlierScan, func(sp *obs.Span) error {
 		// One scan per predicted attribute, bounded to GOMAXPROCS workers
 		// (the same semaphore pattern the WMIS selector uses) so a wide
 		// table cannot spawn hundreds of full-table scans at once. Each
-		// scan checks ctx between row batches.
-		scanErrs := make([]error, len(plan.Predicted))
+		// scan checks ctx between row batches, and writes the outliers of
+		// its own copy of the model: the plan's models are shared.
+		scanErrs := make([]error, len(p.sel.Predicted))
 		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		if opts.ScanWorkers > 0 {
-			workers = opts.ScanWorkers
-		}
-		sem := make(chan struct{}, workers)
-		for i, a := range plan.Predicted {
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		for i, a := range p.sel.Predicted {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(i, a int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				m := plan.Models[a]
+				m := *p.sel.Models[a]
+				m.Outliers = nil
 				var perClass map[int32]float64
 				if t.Attr(a).Kind == table.Categorical {
 					perClass = resolved[a].ClassBudgets(t.Col(a).Dict)
 				}
 				scanErrs[i] = m.ComputeOutliersBudgetContext(ctx, applyTable, resolved[a].Value, perClass)
-				models[i] = m
+				models[i] = &m
 			}(i, a)
 		}
 		wg.Wait()
@@ -337,17 +395,17 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		for _, m := range models {
 			stats.Outliers += len(m.Outliers)
 		}
-		sp.SetAttr("rows_scanned", t.NumRows()*len(plan.Predicted)).
+		sp.SetAttr("rows_scanned", t.NumRows()*len(p.sel.Predicted)).
 			SetAttr("outliers", stats.Outliers)
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
 	}
 
 	// Encode.
 	err = runPhase(ctx, root, SpanEncode, &stats.Timings.Encode, func(sp *obs.Span) error {
-		bd, err := codec.Encode(w, applyTable, plan.Materialized, models)
+		bd, err := codec.Encode(w, applyTable, p.sel.Materialized, models)
 		if err != nil {
 			return fmt.Errorf("spartan: encoding: %w", err)
 		}
@@ -365,7 +423,7 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
 	}
 	root.SetAttr("ratio", fmt.Sprintf("%.4f", stats.Ratio))
 	return stats, nil
@@ -391,16 +449,6 @@ func runPhase(ctx context.Context, root *obs.Span, name string, timing *time.Dur
 		*timing = sp.Duration()
 	}()
 	return fn(sp)
-}
-
-// failCompress marks the root span of a run that died from cancellation
-// and passes the error through, so every error return of CompressContext
-// leaves a correctly-annotated trace.
-func failCompress(root *obs.Span, err error) error {
-	if isCancellation(err) {
-		root.SetAttr("cancelled", true)
-	}
-	return err
 }
 
 // isCancellation reports whether err stems from a done context.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/datagen"
 	"repro/internal/table"
 )
@@ -310,6 +311,33 @@ func TestSegmentedCompressAndQuery(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestSegmentedCompressHugeSegmentRows: a segment-rows value near the
+// int limit must yield one segment holding every row, not an archive
+// with no segments.
+func TestSegmentedCompressHugeSegmentRows(t *testing.T) {
+	srv := testServer(t)
+	tb := datagen.CDR(100, 3)
+	resp, err := http.Post(srv.URL+"/compress?segment-rows=9223372036854775807", "application/octet-stream", tableBody(t, tb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("compress status = %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Spartan-Segments"); got != "1" {
+		t.Errorf("X-Spartan-Segments = %q, want 1", got)
+	}
+	back, err := archive.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !table.Equal(tb, back) {
+		t.Errorf("archive read back %d rows, want the %d posted", back.NumRows(), tb.NumRows())
 	}
 }
 

@@ -78,8 +78,12 @@ func (e Tolerance) ClassBudgets(dict []string) map[int32]float64 {
 
 // Resolve converts quantile-form numeric tolerances into absolute bounds
 // using the observed column ranges of t, and validates the vector. The
-// returned slice has Quantile=false everywhere.
+// returned slice has Quantile=false everywhere. A nil vector resolves to
+// all zeros (lossless).
 func (tol Tolerances) Resolve(t *Table) (Tolerances, error) {
+	if tol == nil {
+		tol = ZeroTolerances(t)
+	}
 	if len(tol) != t.NumCols() {
 		return nil, fmt.Errorf("table: %d tolerances for %d attributes", len(tol), t.NumCols())
 	}
