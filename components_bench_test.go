@@ -6,11 +6,13 @@ package spartan
 // expose each component so regressions are attributable.
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bayesnet"
 	"repro/internal/cart"
+	"repro/internal/codec"
 	"repro/internal/datagen"
 	"repro/internal/fascicle"
 	"repro/internal/gzipref"
@@ -99,6 +101,45 @@ func BenchmarkFascicleCluster(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fascicle.Cluster(t, fascicle.Params{Widths: widths}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFascicleClusterSegment clusters one archive segment's worth of
+// Census rows (8000) at 1% widths, the RowAggregator's per-segment work:
+// segments this large reach the 500-fascicle cap and the failed-seed path.
+func BenchmarkFascicleClusterSegment(b *testing.B) {
+	t := datagen.Census(8000, 1)
+	widths := make([]float64, t.NumCols())
+	for i := 0; i < t.NumCols(); i++ {
+		if t.Attr(i).Kind == table.Numeric {
+			widths[i] = 0.01 * t.Col(i).Range()
+		}
+	}
+	b.SetBytes(int64(t.RawSizeBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fascicle.Cluster(t, fascicle.Params{Widths: widths}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncode writes the T' stream of a 4000-row CDR table with every
+// attribute materialized: the per-cell encode loop and the deflate writer.
+func BenchmarkEncode(b *testing.B) {
+	t := datagen.CDR(4000, 1)
+	all := make([]int, t.NumCols())
+	for i := range all {
+		all[i] = i
+	}
+	b.SetBytes(int64(t.RawSizeBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codec.Encode(io.Discard, t, all, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

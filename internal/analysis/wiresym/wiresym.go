@@ -14,7 +14,8 @@
 // values derived from them) count, buffer-fill idioms are recognized
 // (binary.LittleEndian.PutUint32 into a local array followed by a
 // stream Write of that array is one 4-byte little-endian field, as is
-// io.ReadFull into a [4]byte decoded by binary.LittleEndian.Uint32),
+// io.ReadFull into a [4]byte decoded by binary.LittleEndian.Uint32, and
+// bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v)) is one uvarint),
 // unpaired same-package helpers are inlined, and calls to *paired*
 // helpers match each other as single tokens — which is also what makes
 // mutually recursive encodeNode/decodeNode comparable without
@@ -858,7 +859,7 @@ func (w *walker) streamMethod(name string, call *ast.CallExpr, envs []*env) bool
 	case "WriteString", "ReadString", "ReadBytes", "Read":
 		w.emit(envs, tok{kind: kBlob, pos: call.Pos()})
 		return false
-	case "Flush", "Close", "Reset", "Buffered", "Available":
+	case "Flush", "Close", "Reset", "Buffered", "Available", "AvailableBuffer":
 		return true
 	}
 	// Unknown stream method (UnreadByte, Seek, …): opaque.
@@ -866,12 +867,17 @@ func (w *walker) streamMethod(name string, call *ast.CallExpr, envs []*env) bool
 	return false
 }
 
-// flushOrBlob resolves a stream Write: if the written buffer is the one
-// a pending PutUvarint/PutUintN filled, the write is that field;
+// flushOrBlob resolves a stream Write: a write of one field appended to
+// the stream's free buffer is that field; if the written buffer is the
+// one a pending PutUvarint/PutUintN filled, the write is that field;
 // otherwise it is a raw byte run. A fixed pending flushed through a
 // constant-width slice takes the slice's width — writing buf[:2] after
 // PutUint32 puts 2 bytes on the wire, not 4.
 func (w *walker) flushOrBlob(arg ast.Expr, pos token.Pos, envs []*env) {
+	if t, ok := w.appendTok(arg, pos); ok {
+		w.emit(envs, t)
+		return
+	}
 	v := bufVarOf(w.info, arg)
 	for _, e := range envs {
 		if v != nil && e.pend != nil && e.pend.buf == v {
@@ -887,6 +893,47 @@ func (w *walker) flushOrBlob(arg ast.Expr, pos token.Pos, envs []*env) {
 		}
 		e.toks = append(e.toks, tok{kind: kBlob, pos: pos})
 	}
+}
+
+// appendTok recognizes the allocation-free field write
+// bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v)), with
+// AppendVarint or binary.<E>.AppendUintN in place of AppendUvarint: the
+// appended-to buffer is empty, so the write is exactly that one field.
+func (w *walker) appendTok(arg ast.Expr, pos token.Pos) (tok, bool) {
+	call, ok := unparen(arg).(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 || !w.isAvailableBuffer(call.Args[0]) {
+		return tok{}, false
+	}
+	callee, dynamic, _ := callgraph.StaticCallee(w.info, call)
+	if callee == nil || dynamic || callee.Pkg() == nil || callee.Pkg().Path() != "encoding/binary" {
+		return tok{}, false
+	}
+	switch callee.Name() {
+	case "AppendUvarint":
+		return tok{kind: kUvarint, pos: pos}, true
+	case "AppendVarint":
+		return tok{kind: kVarint, pos: pos}, true
+	}
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !strings.HasPrefix(sel.Sel.Name, "Append") {
+		return tok{}, false
+	}
+	width, ok := endianWidth(strings.TrimPrefix(sel.Sel.Name, "Append"))
+	if !ok {
+		return tok{}, false
+	}
+	return tok{kind: kFixed, width: width, endian: endianOf(w.info, sel.X), pos: pos}, true
+}
+
+// isAvailableBuffer reports whether x is an AvailableBuffer() call on a
+// stream: an empty slice over the stream's free buffer space.
+func (w *walker) isAvailableBuffer(x ast.Expr) bool {
+	call, ok := unparen(x).(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "AvailableBuffer" && isStreamType(w.info.TypeOf(sel.X))
 }
 
 func (w *walker) setPending(call *ast.CallExpr, envs []*env, kind byte, width int, endian byte) {

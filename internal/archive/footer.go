@@ -256,10 +256,10 @@ func makeTrailer(footer []byte) ([trailerSize]byte, error) {
 	return tr, nil
 }
 
+// putUvarint appends v to bw's free buffer space, so no per-value
+// buffer escapes to the heap.
 func putUvarint(bw *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := bw.Write(buf[:n])
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
 }
 

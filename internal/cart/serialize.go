@@ -258,17 +258,17 @@ func decodeNode(br *bufio.Reader, kind table.Kind, depth int) (*Node, error) {
 	}
 }
 
+// putUvarint appends v to bw's free buffer space, so no per-value
+// buffer escapes to the heap.
 func putUvarint(bw *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := bw.Write(buf[:n])
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
 }
 
+// putFloat32 appends v as a little-endian float32 to bw's free buffer
+// space, so no per-value buffer escapes to the heap.
 func putFloat32(bw *bufio.Writer, v float64) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
-	_, err := bw.Write(buf[:])
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), math.Float32bits(float32(v))))
 	return err
 }
 

@@ -107,10 +107,11 @@ func Encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Mo
 	bd.ModelBytes = modelHdr.Len() + modelBuf.Len()
 
 	var tprime bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&tprime, gzip.BestCompression)
+	zw, err := getDeflater(&tprime, gzip.BestCompression)
 	if err != nil {
 		return bd, err
 	}
+	defer putDeflater(zw, gzip.BestCompression)
 	zbw := bufio.NewWriter(zw)
 	for _, a := range sorted {
 		if err := writeColumn(zbw, src.Col(a)); err != nil {
@@ -479,10 +480,11 @@ func EstimateBitsPerValue(c *table.Column) (float64, error) {
 		return 0, nil
 	}
 	var body bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&body, gzip.BestSpeed)
+	zw, err := getDeflater(&body, gzip.BestSpeed)
 	if err != nil {
 		return 0, err
 	}
+	defer putDeflater(zw, gzip.BestSpeed)
 	bw := bufio.NewWriter(zw)
 	if err := writeColumn(bw, c); err != nil {
 		return 0, err
@@ -502,6 +504,31 @@ func EstimateBitsPerValue(c *table.Column) (float64, error) {
 		bits = 0.25
 	}
 	return bits, nil
+}
+
+// deflaters keeps idle gzip writers per compression level. A writer's
+// deflate state (about 1.4 MB at BestCompression) is the largest allocation
+// of an encode, and Reset makes a used writer emit exactly the bytes a
+// fresh one would.
+var deflaters = map[int]*sync.Pool{
+	gzip.BestSpeed:       {},
+	gzip.BestCompression: {},
+}
+
+// getDeflater returns a gzip writer at level writing to w.
+func getDeflater(w io.Writer, level int) (*gzip.Writer, error) {
+	if zw, ok := deflaters[level].Get().(*gzip.Writer); ok {
+		zw.Reset(w)
+		return zw, nil
+	}
+	return gzip.NewWriterLevel(w, level)
+}
+
+// putDeflater returns zw to the pool for level. It first points zw at
+// io.Discard, so the pool keeps no output buffer alive.
+func putDeflater(zw *gzip.Writer, level int) {
+	zw.Reset(io.Discard)
+	deflaters[level].Put(zw)
 }
 
 // Numeric column encodings inside the T' block. Fascicle quantization
@@ -787,10 +814,10 @@ func readSchemaLimited(br *bufio.Reader, lim DecodeLimits) (table.Schema, [][]st
 	return schema, dicts, nil
 }
 
+// putUvarint appends v to bw's free buffer space, so no per-value
+// buffer escapes to the heap.
 func putUvarint(bw *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := bw.Write(buf[:n])
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
 }
 

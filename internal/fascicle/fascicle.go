@@ -26,7 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/floats"
 	"repro/internal/table"
@@ -114,10 +114,13 @@ type Clustering struct {
 }
 
 // Cluster detects fascicles greedily. The result is deterministic for a
-// given table and parameters. Complexity is O(n·cols) for index
-// construction plus near-O(output) per fascicle: windows are counted by
-// binary search on per-column sorted indexes, and candidate rows are
-// extracted only from the sparsest chosen attribute.
+// given table and parameters. Building the index costs one sort per
+// numeric attribute. Each seed then tries one growth: windows are counted
+// by binary search on the sorted indexes, and the rows of the sparsest
+// chosen window — including rows earlier fascicles already took — are
+// scanned against the other chosen windows. Tries, failed ones included,
+// are capped at 4·MaxFascicles+64, so the scanning costs at most that many
+// window scans.
 func Cluster(t *table.Table, p Params) (*Clustering, error) {
 	return ClusterContext(context.Background(), t, p)
 }
@@ -131,8 +134,7 @@ func ClusterContext(ctx context.Context, t *table.Table, p Params) (*Clustering,
 		return nil, err
 	}
 	n := t.NumRows()
-	idx := buildIndex(t)
-	assigned := make([]bool, n)
+	g := newGrower(t, p)
 	fascicles := make([]Fascicle, 0, p.MaxFascicles)
 
 	// Seeds that fail to grow are skipped permanently; cap total attempts
@@ -143,32 +145,32 @@ func ClusterContext(ctx context.Context, t *table.Table, p Params) (*Clustering,
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fascicle: clustering cancelled: %w", err)
 		}
-		for seed < n && assigned[seed] {
+		for seed < n && g.assigned[seed] {
 			seed++
 		}
 		if seed >= n {
 			break
 		}
 		tries++
-		f, ok := growFascicle(t, p, idx, seed, assigned)
+		f, ok := g.grow(seed)
 		if !ok {
 			seed++ // this seed stays a leftover unless a later fascicle absorbs it
 			continue
 		}
 		for _, r := range f.Rows {
-			assigned[r] = true
+			g.assigned[r] = true
 		}
 		fascicles = append(fascicles, f)
 	}
 	free := 0
-	for _, done := range assigned {
+	for _, done := range g.assigned {
 		if !done {
 			free++
 		}
 	}
 	leftover := make([]int, 0, free)
 	for r := 0; r < n; r++ {
-		if !assigned[r] {
+		if !g.assigned[r] {
 			leftover = append(leftover, r)
 		}
 	}
@@ -177,33 +179,38 @@ func ClusterContext(ctx context.Context, t *table.Table, p Params) (*Clustering,
 
 // colIndex accelerates window membership queries.
 type colIndex struct {
-	// numeric: rows sorted by value.
+	// numeric: rows sorted by (value, row).
 	sortedVals []float64
 	sortedRows []int
-	// categorical: rows per code.
-	buckets map[int32][]int
+	// categorical: rows per code, in increasing row order.
+	buckets [][]int
 }
 
 func buildIndex(t *table.Table) []colIndex {
 	idx := make([]colIndex, t.NumCols())
+	var rs radixSorter
 	for a := 0; a < t.NumCols(); a++ {
 		col := t.Col(a)
 		if col.Kind == table.Numeric {
-			order := make([]int, len(col.Floats))
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(i, j int) bool {
-				return col.Floats[order[i]] < col.Floats[order[j]]
-			})
-			vals := make([]float64, len(order))
-			for i, r := range order {
+			rows := rs.order(col.Floats)
+			vals := make([]float64, len(rows))
+			for i, r := range rows {
 				vals[i] = col.Floats[r]
 			}
-			idx[a] = colIndex{sortedVals: vals, sortedRows: order}
+			idx[a] = colIndex{sortedVals: vals, sortedRows: rows}
 			continue
 		}
-		buckets := make(map[int32][]int, len(col.Dict))
+		// Size every bucket first, so all of them share one backing array.
+		buckets := make([][]int, len(col.Dict))
+		sizes := make([]int, len(col.Dict))
+		for _, c := range col.Codes {
+			sizes[c]++
+		}
+		backing, off := make([]int, len(col.Codes)), 0
+		for c, k := range sizes {
+			buckets[c] = backing[off : off : off+k]
+			off += k
+		}
 		for r, c := range col.Codes {
 			buckets[c] = append(buckets[c], r)
 		}
@@ -212,29 +219,95 @@ func buildIndex(t *table.Table) []colIndex {
 	return idx
 }
 
-// countRange returns the number of rows with value in [lo, hi].
-func (ci *colIndex) countRange(lo, hi float64) int {
-	a := sort.SearchFloat64s(ci.sortedVals, lo)
-	b := sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
-	return b - a
+// radixSorter orders rows by value with a least-significant-byte-first
+// radix sort, reusing its buffers from one column to the next.
+type radixSorter struct {
+	keys, keys2 []uint64
+	rows2       []int
 }
 
-// rowsInRange appends the unassigned rows with value in [lo, hi].
-func (ci *colIndex) rowsInRange(lo, hi float64, assigned []bool, out []int) []int {
-	a := sort.SearchFloat64s(ci.sortedVals, lo)
-	b := sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
-	for i := a; i < b; i++ {
-		if r := ci.sortedRows[i]; !assigned[r] {
-			out = append(out, r)
+// order returns the rows of vals sorted by value, equal values in row
+// order: exactly the stable sort by value. Each value maps to a key whose
+// unsigned order is the float order, with -0 and +0 on one key since they
+// compare equal; tables hold no NaN. A pass whose byte is the same in
+// every key is skipped. The returned slice belongs to the caller: the
+// sorter keeps only the other row buffer.
+func (s *radixSorter) order(vals []float64) []int {
+	n := len(vals)
+	if n == 0 {
+		return nil
+	}
+	keys, keys2 := slices.Grow(s.keys[:0], n)[:n], slices.Grow(s.keys2[:0], n)[:n]
+	rows, rows2 := make([]int, n), slices.Grow(s.rows2[:0], n)[:n]
+	for r, v := range vals {
+		b := math.Float64bits(v)
+		if b == 1<<63 { // -0 sorts with +0
+			b = 0
+		}
+		if b>>63 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		keys[r], rows[r] = b, r
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		var pos [256]int
+		for _, k := range keys {
+			pos[byte(k>>shift)]++
+		}
+		if pos[byte(keys[0]>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for i, c := range pos {
+			pos[i] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			d := &pos[byte(k>>shift)]
+			keys2[*d], rows2[*d] = k, rows[i]
+			*d++
+		}
+		keys, keys2 = keys2, keys
+		rows, rows2 = rows2, rows
+	}
+	s.keys, s.keys2, s.rows2 = keys, keys2, rows2
+	return rows
+}
+
+// window returns the positions [i, j) of the sorted index whose values
+// lie in [lo, hi].
+func (ci *colIndex) window(lo, hi float64) (int, int) {
+	vals := ci.sortedVals
+	i, end := 0, len(vals)
+	for i < end { // first value >= lo
+		if m := int(uint(i+end) >> 1); vals[m] < lo {
+			i = m + 1
+		} else {
+			end = m
 		}
 	}
-	return out
+	j, end := i, len(vals)
+	for j < end { // first value > hi
+		if m := int(uint(j+end) >> 1); vals[m] <= hi {
+			j = m + 1
+		} else {
+			end = m
+		}
+	}
+	return i, j
+}
+
+// countRange returns the number of rows with value in [lo, hi].
+func (ci *colIndex) countRange(lo, hi float64) int {
+	i, j := ci.window(lo, hi)
+	return j - i
 }
 
 // attrMatch records, for one attribute, the compactness window around the
 // current seed and an (index-estimated) population count.
 type attrMatch struct {
-	attr  int
 	count int     // estimated rows in window (may include assigned rows)
 	lo    float64 // numeric window bounds
 	hi    float64
@@ -242,26 +315,66 @@ type attrMatch struct {
 	seedC int32 // seed's code (categorical attributes)
 }
 
-// growFascicle builds the candidate fascicle seeded at row seed and
-// reports whether it meets the minimum size.
-func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned []bool) (Fascicle, bool) {
-	ncols := t.NumCols()
-	matches := make([]attrMatch, 0, ncols)
-	for a := 0; a < ncols; a++ {
+// filter is a chosen window as the candidate scan tests it: a numeric
+// range over floats, or the seed's code over codes.
+type filter struct {
+	floats []float64
+	codes  []int32
+	lo, hi float64
+	seedC  int32
+}
+
+// grower holds one clustering's index, assignment and the scratch buffers
+// every growth attempt reuses. A Fascicle it returns owns its slices; none
+// of them alias the scratch.
+type grower struct {
+	t        *table.Table
+	p        Params
+	idx      []colIndex
+	assigned []bool
+
+	matches []attrMatch // by attribute
+	top     []int       // attributes by estimated population
+	filters []filter    // chosen windows other than the sparsest
+	rows    []int
+	reps    []float64
+	counts  map[float64]int
+}
+
+func newGrower(t *table.Table, p Params) *grower {
+	return &grower{
+		t:        t,
+		p:        p,
+		idx:      buildIndex(t),
+		assigned: make([]bool, t.NumRows()),
+		matches:  make([]attrMatch, 0, t.NumCols()),
+		top:      make([]int, 0, t.NumCols()),
+		filters:  make([]filter, 0, p.K),
+		reps:     make([]float64, p.K),
+		counts:   make(map[float64]int, 16),
+	}
+}
+
+// grow builds the candidate fascicle seeded at row seed and reports
+// whether it meets the minimum size.
+func (g *grower) grow(seed int) (Fascicle, bool) {
+	t, p := g.t, g.p
+	matches := g.matches[:0]
+	for a := 0; a < t.NumCols(); a++ {
 		col := t.Col(a)
-		am := attrMatch{attr: a}
+		var am attrMatch
 		if col.Kind == table.Numeric {
 			// The compactness window may sit anywhere as long as it has
 			// width ≤ 2·w and contains the seed; try the three natural
 			// anchorings and keep the most populated one. Counts come from
 			// the sorted index and may include already-assigned rows — a
 			// deliberate approximation that keeps scoring O(log n).
-			s, w := t.Float(seed, a), p.Widths[a]
+			s, w := col.Floats[seed], p.Widths[a]
 			splits := splitsFor(p, a)
 			am.count = -1
 			for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
 				lo, hi := clampWindow(s, anchor[0], anchor[1], splits)
-				if count := idx[a].countRange(lo, hi); count > am.count {
+				if count := g.idx[a].countRange(lo, hi); count > am.count {
 					am.count = count
 					am.lo, am.hi = lo, hi
 				}
@@ -269,65 +382,60 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 		} else {
 			am.isCat = true
 			am.seedC = col.Codes[seed]
-			am.count = len(idx[a].buckets[am.seedC])
+			am.count = len(g.idx[a].buckets[am.seedC])
 		}
 		matches = append(matches, am)
 	}
+	g.matches = matches
 	if len(matches) < p.K {
 		return Fascicle{}, false
 	}
-	// Keep the K attributes with the highest estimated population.
-	sort.SliceStable(matches, func(i, j int) bool {
-		return matches[i].count > matches[j].count
+	// Keep the K attributes with the highest estimated population, ties
+	// to the lower attribute.
+	top := g.top[:0]
+	for a := range matches {
+		top = append(top, a)
+	}
+	slices.SortFunc(top, func(x, y int) int {
+		if c := matches[y].count - matches[x].count; c != 0 {
+			return c
+		}
+		return x - y
 	})
-	chosen := matches[:p.K]
+	g.top = top
+	top = top[:p.K]
 
-	// Extract candidate rows from the sparsest chosen attribute, then
-	// filter by the remaining constraints.
-	sparse := chosen[0]
-	for _, am := range chosen[1:] {
-		if am.count < sparse.count {
-			sparse = am
-		}
+	// Scan the sparsest chosen window and test every unassigned row
+	// against the other chosen windows, most selective first: the
+	// conjunction does not depend on the order.
+	sparse := top[len(top)-1]
+	filters := g.filters[:0]
+	for i := len(top) - 2; i >= 0; i-- {
+		col, am := t.Col(top[i]), &matches[top[i]]
+		filters = append(filters, filter{floats: col.Floats, codes: col.Codes, lo: am.lo, hi: am.hi, seedC: am.seedC})
 	}
-	var cands []int
-	if sparse.isCat {
-		bucket := idx[sparse.attr].buckets[sparse.seedC]
-		cands = make([]int, 0, len(bucket))
-		for _, r := range bucket {
-			if !assigned[r] {
-				cands = append(cands, r)
-			}
-		}
+	g.filters = filters
+	var window []int
+	if sp := &matches[sparse]; sp.isCat {
+		window = g.idx[sparse].buckets[sp.seedC]
 	} else {
-		cands = idx[sparse.attr].rowsInRange(sparse.lo, sparse.hi, assigned, nil)
+		ci := &g.idx[sparse]
+		i, j := ci.window(sp.lo, sp.hi)
+		window = ci.sortedRows[i:j]
 	}
-	rows := cands[:0]
-	for _, r := range cands {
-		ok := true
-		for _, am := range chosen {
-			if am.attr == sparse.attr {
-				continue
-			}
-			if am.isCat {
-				if t.Code(r, am.attr) != am.seedC {
-					ok = false
-					break
-				}
-			} else if v := t.Float(r, am.attr); v < am.lo || v > am.hi {
-				ok = false
-				break
-			}
+	rows := g.rows[:0]
+	for _, r := range window {
+		if g.assigned[r] || !inWindows(filters, r) {
+			continue
 		}
-		if ok {
-			rows = append(rows, r)
-		}
+		rows = append(rows, r)
 	}
+	g.rows = rows
 	if len(rows) < p.MinSize {
 		return Fascicle{}, false
 	}
-	sort.Ints(rows)
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i].attr < chosen[j].attr })
+	slices.Sort(rows)
+	slices.Sort(top) // compact attributes in attribute order
 
 	// Representatives: the most frequent member value (ties broken low).
 	// Using an existing domain value — rather than the range midpoint —
@@ -336,15 +444,15 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 	// the width from the representative are dropped below, keeping the
 	// error bound valid for every member by construction. (Values are
 	// float32-exact already, so no wire-format rounding applies.)
-	reps := make([]float64, len(chosen))
-	for ci, am := range chosen {
-		if am.isCat {
+	reps := g.reps
+	for ci, a := range top {
+		if matches[a].isCat {
 			continue
 		}
-		col := t.Col(am.attr)
-		counts := make(map[float64]int, 16)
+		vals, counts := t.Col(a).Floats, g.counts
+		clear(counts)
 		for _, r := range rows {
-			counts[col.Floats[r]]++
+			counts[vals[r]]++
 		}
 		bestV, bestC := math.Inf(1), -1
 		for v, c := range counts {
@@ -361,13 +469,13 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 	valid := rows[:0]
 	for _, r := range rows {
 		ok := true
-		for ci, am := range chosen {
-			if am.isCat {
+		for ci, a := range top {
+			if matches[a].isCat {
 				continue
 			}
-			v := t.Float(r, am.attr)
-			if math.Abs(reps[ci]-v) > p.Widths[am.attr] ||
-				!sameSide(reps[ci], v, splitsFor(p, am.attr)) {
+			v := t.Float(r, a)
+			if math.Abs(reps[ci]-v) > p.Widths[a] ||
+				!sameSide(reps[ci], v, splitsFor(p, a)) {
 				ok = false
 				break
 			}
@@ -379,18 +487,35 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 	if len(valid) < p.MinSize {
 		return Fascicle{}, false
 	}
-	f := Fascicle{Rows: valid}
-	for ci, am := range chosen {
-		f.CompactAttrs = append(f.CompactAttrs, am.attr)
-		if am.isCat {
-			f.NumReps = append(f.NumReps, 0)
-			f.CatReps = append(f.CatReps, am.seedC)
+	f := Fascicle{
+		Rows:         slices.Clone(valid),
+		CompactAttrs: slices.Clone(top),
+		NumReps:      make([]float64, len(top)),
+		CatReps:      make([]int32, len(top)),
+	}
+	for ci, a := range top {
+		if am := &matches[a]; am.isCat {
+			f.CatReps[ci] = am.seedC
 		} else {
-			f.NumReps = append(f.NumReps, reps[ci])
-			f.CatReps = append(f.CatReps, 0)
+			f.NumReps[ci] = reps[ci]
 		}
 	}
 	return f, true
+}
+
+// inWindows reports whether row r lies in every window of fs.
+func inWindows(fs []filter, r int) bool {
+	for i := range fs {
+		f := &fs[i]
+		if f.floats == nil {
+			if f.codes[r] != f.seedC {
+				return false
+			}
+		} else if v := f.floats[r]; v < f.lo || v > f.hi {
+			return false
+		}
+	}
+	return true
 }
 
 func splitsFor(p Params, attr int) []float64 {

@@ -1,14 +1,17 @@
 package fascicle
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/datagen"
 	"repro/internal/floats"
 	"repro/internal/table"
 )
@@ -393,15 +396,27 @@ func TestColIndexRangeQueries(t *testing.T) {
 	if got := idx[1].countRange(50000, 90000); got != 4 { // 50,76,80,90 (k)
 		t.Errorf("countRange = %d, want 4", got)
 	}
+	// unassigned lists the window's rows that no fascicle holds yet, the
+	// candidates growth scans.
+	unassigned := func(lo, hi float64, assigned []bool) []int {
+		i, j := idx[1].window(lo, hi)
+		out := make([]int, 0, j-i)
+		for _, r := range idx[1].sortedRows[i:j] {
+			if !assigned[r] {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
 	assigned := make([]bool, tb.NumRows())
-	rows := idx[1].rowsInRange(50000, 90000, assigned, nil)
+	rows := unassigned(50000, 90000, assigned)
 	if len(rows) != 4 {
-		t.Errorf("rowsInRange = %v, want 4 rows", rows)
+		t.Errorf("window rows = %v, want 4 rows", rows)
 	}
 	assigned[4] = true // salary 50,000
-	rows = idx[1].rowsInRange(50000, 90000, assigned, nil)
+	rows = unassigned(50000, 90000, assigned)
 	if len(rows) != 3 {
-		t.Errorf("rowsInRange with assignment = %v, want 3 rows", rows)
+		t.Errorf("window rows with assignment = %v, want 3 rows", rows)
 	}
 	// Categorical buckets.
 	if got := len(idx[3].buckets[tb.Col(3).Codes[0]]); got != 5 { // "good"
@@ -422,5 +437,365 @@ func TestSameSide(t *testing.T) {
 	// Boundary: v <= split is the left side.
 	if sameSide(5, 5.1, []float64{5}) {
 		t.Error("5 (left) and 5.1 (right) straddle the split at 5")
+	}
+}
+
+// --- reference implementation ---------------------------------------------
+//
+// refClusterContext is the direct form of the clustering: a stably
+// sorted index per numeric column, a candidate slice extracted from the
+// sparsest chosen window, and fresh allocations for every seed.
+// TestClusterMatchesReference holds ClusterContext to exactly its output.
+
+type refColIndex struct {
+	sortedVals []float64
+	sortedRows []int
+	buckets    map[int32][]int
+}
+
+func refBuildIndex(t *table.Table) []refColIndex {
+	idx := make([]refColIndex, t.NumCols())
+	for a := 0; a < t.NumCols(); a++ {
+		col := t.Col(a)
+		if col.Kind == table.Numeric {
+			order := make([]int, len(col.Floats))
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(i, j int) bool {
+				return col.Floats[order[i]] < col.Floats[order[j]]
+			})
+			vals := make([]float64, len(order))
+			for i, r := range order {
+				vals[i] = col.Floats[r]
+			}
+			idx[a] = refColIndex{sortedVals: vals, sortedRows: order}
+			continue
+		}
+		buckets := make(map[int32][]int, len(col.Dict))
+		for r, c := range col.Codes {
+			buckets[c] = append(buckets[c], r)
+		}
+		idx[a] = refColIndex{buckets: buckets}
+	}
+	return idx
+}
+
+func (ci *refColIndex) countRange(lo, hi float64) int {
+	a := sort.SearchFloat64s(ci.sortedVals, lo)
+	b := sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
+	return b - a
+}
+
+func (ci *refColIndex) rowsInRange(lo, hi float64, assigned []bool, out []int) []int {
+	a := sort.SearchFloat64s(ci.sortedVals, lo)
+	b := sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
+	for i := a; i < b; i++ {
+		if r := ci.sortedRows[i]; !assigned[r] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+type refAttrMatch struct {
+	attr  int
+	count int
+	lo    float64
+	hi    float64
+	isCat bool
+	seedC int32
+}
+
+func refClusterContext(t *table.Table, p Params) (*Clustering, error) {
+	p, err := p.withDefaults(t)
+	if err != nil {
+		return nil, err
+	}
+	n := t.NumRows()
+	idx := refBuildIndex(t)
+	assigned := make([]bool, n)
+	fascicles := make([]Fascicle, 0, p.MaxFascicles)
+	maxTries := 4*p.MaxFascicles + 64
+	seed, tries := 0, 0
+	for len(fascicles) < p.MaxFascicles && tries < maxTries {
+		for seed < n && assigned[seed] {
+			seed++
+		}
+		if seed >= n {
+			break
+		}
+		tries++
+		f, ok := refGrowFascicle(t, p, idx, seed, assigned)
+		if !ok {
+			seed++
+			continue
+		}
+		for _, r := range f.Rows {
+			assigned[r] = true
+		}
+		fascicles = append(fascicles, f)
+	}
+	free := 0
+	for _, done := range assigned {
+		if !done {
+			free++
+		}
+	}
+	leftover := make([]int, 0, free)
+	for r := 0; r < n; r++ {
+		if !assigned[r] {
+			leftover = append(leftover, r)
+		}
+	}
+	return &Clustering{Fascicles: fascicles, Leftover: leftover, params: p}, nil
+}
+
+func refGrowFascicle(t *table.Table, p Params, idx []refColIndex, seed int, assigned []bool) (Fascicle, bool) {
+	ncols := t.NumCols()
+	matches := make([]refAttrMatch, 0, ncols)
+	for a := 0; a < ncols; a++ {
+		col := t.Col(a)
+		am := refAttrMatch{attr: a}
+		if col.Kind == table.Numeric {
+			s, w := t.Float(seed, a), p.Widths[a]
+			splits := splitsFor(p, a)
+			am.count = -1
+			for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
+				lo, hi := clampWindow(s, anchor[0], anchor[1], splits)
+				if count := idx[a].countRange(lo, hi); count > am.count {
+					am.count = count
+					am.lo, am.hi = lo, hi
+				}
+			}
+		} else {
+			am.isCat = true
+			am.seedC = col.Codes[seed]
+			am.count = len(idx[a].buckets[am.seedC])
+		}
+		matches = append(matches, am)
+	}
+	if len(matches) < p.K {
+		return Fascicle{}, false
+	}
+	sort.SliceStable(matches, func(i, j int) bool {
+		return matches[i].count > matches[j].count
+	})
+	chosen := matches[:p.K]
+	sparse := chosen[0]
+	for _, am := range chosen[1:] {
+		if am.count < sparse.count {
+			sparse = am
+		}
+	}
+	var cands []int
+	if sparse.isCat {
+		bucket := idx[sparse.attr].buckets[sparse.seedC]
+		cands = make([]int, 0, len(bucket))
+		for _, r := range bucket {
+			if !assigned[r] {
+				cands = append(cands, r)
+			}
+		}
+	} else {
+		cands = idx[sparse.attr].rowsInRange(sparse.lo, sparse.hi, assigned, nil)
+	}
+	rows := cands[:0]
+	for _, r := range cands {
+		ok := true
+		for _, am := range chosen {
+			if am.attr == sparse.attr {
+				continue
+			}
+			if am.isCat {
+				if t.Code(r, am.attr) != am.seedC {
+					ok = false
+					break
+				}
+			} else if v := t.Float(r, am.attr); v < am.lo || v > am.hi {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) < p.MinSize {
+		return Fascicle{}, false
+	}
+	sort.Ints(rows)
+	sort.Slice(chosen, func(i, j int) bool { return chosen[i].attr < chosen[j].attr })
+	reps := make([]float64, len(chosen))
+	for ci, am := range chosen {
+		if am.isCat {
+			continue
+		}
+		col := t.Col(am.attr)
+		counts := make(map[float64]int, 16)
+		for _, r := range rows {
+			counts[col.Floats[r]]++
+		}
+		bestV, bestC := math.Inf(1), -1
+		for v, c := range counts {
+			if c > bestC || (c == bestC && v < bestV) {
+				bestV, bestC = v, c
+			}
+		}
+		reps[ci] = floats.F32(bestV)
+	}
+	valid := rows[:0]
+	for _, r := range rows {
+		ok := true
+		for ci, am := range chosen {
+			if am.isCat {
+				continue
+			}
+			v := t.Float(r, am.attr)
+			if math.Abs(reps[ci]-v) > p.Widths[am.attr] ||
+				!sameSide(reps[ci], v, splitsFor(p, am.attr)) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			valid = append(valid, r)
+		}
+	}
+	if len(valid) < p.MinSize {
+		return Fascicle{}, false
+	}
+	f := Fascicle{Rows: valid}
+	for ci, am := range chosen {
+		f.CompactAttrs = append(f.CompactAttrs, am.attr)
+		if am.isCat {
+			f.NumReps = append(f.NumReps, 0)
+			f.CatReps = append(f.CatReps, am.seedC)
+		} else {
+			f.NumReps = append(f.NumReps, reps[ci])
+			f.CatReps = append(f.CatReps, 0)
+		}
+	}
+	return f, true
+}
+
+// --- differential test ------------------------------------------------------
+
+// differentialTables returns the seeded tables TestClusterMatchesReference
+// clusters: every datagen family at 8000 rows, plus tables with a constant
+// numeric column, with categorical attributes only, with heavily
+// duplicated values (signed zeros included, which compare equal), and
+// with no rows.
+func differentialTables(t *testing.T) map[string]*table.Table {
+	t.Helper()
+	out := map[string]*table.Table{
+		"cdr":    datagen.CDR(8000, 7),
+		"census": datagen.Census(8000, 7),
+		"corel":  datagen.Corel(8000, 7),
+		"forest": datagen.ForestCover(8000, 7),
+	}
+	rng := rand.New(rand.NewSource(11))
+
+	b := table.MustBuilder(table.Schema{
+		{Name: "c", Kind: table.Numeric},
+		{Name: "x", Kind: table.Numeric},
+		{Name: "g", Kind: table.Categorical},
+	})
+	for i := 0; i < 3000; i++ {
+		b.MustAppendRow(42.0, rng.NormFloat64()*10, "g"+strconv.Itoa(rng.Intn(4)))
+	}
+	out["constant"] = b.MustBuild()
+
+	b = table.MustBuilder(table.Schema{
+		{Name: "a", Kind: table.Categorical},
+		{Name: "b", Kind: table.Categorical},
+		{Name: "c", Kind: table.Categorical},
+	})
+	for i := 0; i < 3000; i++ {
+		a := rng.Intn(5)
+		b.MustAppendRow("a"+strconv.Itoa(a), "b"+strconv.Itoa((a+rng.Intn(2))%5), "c"+strconv.Itoa(rng.Intn(7)))
+	}
+	out["categorical"] = b.MustBuild()
+
+	b = table.MustBuilder(table.Schema{
+		{Name: "x", Kind: table.Numeric},
+		{Name: "y", Kind: table.Numeric},
+		{Name: "z", Kind: table.Numeric},
+		{Name: "g", Kind: table.Categorical},
+	})
+	vals := []float64{-1e6, -2.5, math.Copysign(0, -1), 0, 1, 2, 3}
+	for i := 0; i < 3000; i++ {
+		b.MustAppendRow(vals[rng.Intn(len(vals))], vals[1+rng.Intn(3)], float64(rng.Intn(3)), "g"+strconv.Itoa(rng.Intn(2)))
+	}
+	out["duplicates"] = b.MustBuild()
+	out["empty"] = table.MustBuilder(table.Schema{
+		{Name: "x", Kind: table.Numeric},
+		{Name: "g", Kind: table.Categorical},
+	}).MustBuild()
+	return out
+}
+
+// differentialParams derives 1%-of-range widths and, when withSplits is
+// set, split values at the column's quartiles, the way the RowAggregator
+// passes CaRT thresholds.
+func differentialParams(tb *table.Table, withSplits bool, maxFascicles int) Params {
+	p := Params{Widths: make([]float64, tb.NumCols()), MaxFascicles: maxFascicles}
+	if withSplits {
+		p.SplitValues = make([][]float64, tb.NumCols())
+	}
+	for a := 0; a < tb.NumCols(); a++ {
+		col := tb.Col(a)
+		if col.Kind != table.Numeric {
+			continue
+		}
+		p.Widths[a] = 0.01 * col.Range()
+		if withSplits && len(col.Floats) > 0 {
+			sorted := append([]float64(nil), col.Floats...)
+			sort.Float64s(sorted)
+			n := len(sorted)
+			p.SplitValues[a] = []float64{sorted[n/4], sorted[n/2], sorted[3*n/4]}
+		}
+	}
+	return p
+}
+
+// TestClusterMatchesReference holds ClusterContext to the exact output of
+// the reference implementation: same fascicles in the same order, same
+// members, compact attributes and representatives, same leftovers.
+func TestClusterMatchesReference(t *testing.T) {
+	tables := differentialTables(t)
+	names := make([]string, 0, len(tables))
+	for name := range tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	capped := false
+	for _, name := range names {
+		tb := tables[name]
+		for _, withSplits := range []bool{false, true} {
+			for _, maxF := range []int{5, 500} {
+				t.Run(name+"/splits="+strconv.FormatBool(withSplits)+"/max="+strconv.Itoa(maxF), func(t *testing.T) {
+					p := differentialParams(tb, withSplits, maxF)
+					want, err := refClusterContext(tb, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ClusterContext(context.Background(), tb, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("clustering differs from the reference: %d fascicles and %d leftovers, want %d and %d",
+							len(got.Fascicles), len(got.Leftover), len(want.Fascicles), len(want.Leftover))
+					}
+					if maxF == 500 && len(got.Fascicles) == maxF {
+						capped = true
+					}
+				})
+			}
+		}
+	}
+	if !capped {
+		t.Error("no table reached the 500-fascicle cap; the differential misses the capped path")
 	}
 }
