@@ -88,9 +88,10 @@ func OpenArchive(r io.ReadSeeker) (*Archive, error) {
 }
 
 // QueryArchive runs q against an opened archive, decoding only the
-// segments whose zone maps cannot refute the predicate. The result is
-// identical to decompressing the whole archive and running the query
-// over it.
+// segments whose zone maps cannot refute the predicate. Quantile
+// tolerances resolve against the archive-wide zone-map ranges, so the
+// interval bounds can be wider than running the query over the whole
+// decompressed archive would give (see Archive.Query).
 func QueryArchive(a *Archive, tol Tolerances, q Query) (*QueryResult, *ArchiveQueryStats, error) {
 	return a.Query(tol, q)
 }

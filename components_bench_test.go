@@ -6,6 +6,7 @@ package spartan
 // expose each component so regressions are attributable.
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"testing"
@@ -203,5 +204,47 @@ func BenchmarkQueryAggregate(b *testing.B) {
 		if _, err := RunQuery(t, tol, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSegmentedQuery runs queries through the archive read path
+// (footer, zone-map pruning, segment decode, merge, aggregate) on 64k
+// CDR rows ordered by start_hour in 16 segments at 2% tolerance. The
+// key-range query decodes the two or three segments its hours fall in;
+// the non-key query decodes all 16 and merges them into one table.
+func BenchmarkSegmentedQuery(b *testing.B) {
+	t := datagen.CDR(64000, 1)
+	sorted, err := t.SelectRows(t.LexSortedRows())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tol := UniformTolerances(sorted, 0.02, 0)
+	var buf bytes.Buffer
+	if _, err := CompressArchive(&buf, sorted, Options{Tolerances: tol}, SegmentOptions{SegmentRows: 4000}); err != nil {
+		b.Fatal(err)
+	}
+	a, err := OpenArchive(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	queries := []struct {
+		name string
+		q    Query
+	}{
+		{"key_range", Query{Agg: Sum, Column: "duration_sec",
+			Where: QAnd(NumCmp("start_hour", Ge, 8), NumCmp("start_hour", Lt, 10))}},
+		{"non_key", Query{Agg: Avg, Column: "charge_cents",
+			Where: NumCmp("duration_sec", Gt, 200), GroupBy: "plan"}},
+	}
+	for _, bq := range queries {
+		b.Run(bq.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := QueryArchive(a, tol, bq.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

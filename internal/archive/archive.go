@@ -136,7 +136,10 @@ func noteSchema(have *table.Schema, s table.Schema) error {
 		*have = s.Clone()
 		return nil
 	}
-	return sameSchema(*have, s)
+	if err := s.Match(*have); err != nil {
+		return fmt.Errorf("archive: segment schema differs: %w", err)
+	}
+	return nil
 }
 
 // appendFrame writes one length-prefixed frame and records its footer
@@ -210,18 +213,6 @@ func (aw *Writer) Close() (err error) {
 		return err
 	}
 	aw.total = aw.off + 1 + int64(len(foot)) + int64(len(trailer))
-	return nil
-}
-
-func sameSchema(a, b table.Schema) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("archive: segment has %d attributes, archive has %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("archive: segment attribute %d is %v, archive has %v", i, b[i], a[i])
-		}
-	}
 	return nil
 }
 
@@ -329,10 +320,11 @@ func readFrameBytes(r io.Reader, n uint64) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeFrames decodes every frame concurrently and in order. The
-// semaphore caps live goroutines at GOMAXPROCS: each decode holds a
-// whole decompressed segment, so one goroutine per frame on a
-// thousand-segment archive would hold the entire table at once.
+// decodeFrames decodes every frame concurrently and returns the tables
+// in frame order. The semaphore caps concurrent decodes at GOMAXPROCS,
+// which bounds the CPU they take and how many decode working sets
+// (inflated T', rebuilt models) are live at once. It does not bound the
+// decoded segments: every one stays live until the caller merges them.
 func decodeFrames(frames [][]byte, lim codec.DecodeLimits) ([]*table.Table, error) {
 	tables := make([]*table.Table, len(frames))
 	errs := make([]error, len(frames))
@@ -356,45 +348,11 @@ func decodeFrames(frames [][]byte, lim codec.DecodeLimits) ([]*table.Table, erro
 	return tables, nil
 }
 
-// mergeTables concatenates the rows of equal-schema tables in order,
-// re-unifying categorical dictionaries.
-func mergeTables(tables []*table.Table) (*table.Table, error) {
-	var builder *table.Builder
-	var schema table.Schema
-	for _, t := range tables {
-		if builder == nil {
-			schema = t.Schema().Clone()
-			var err error
-			builder, err = table.NewBuilder(schema)
-			if err != nil {
-				return nil, err
-			}
-		} else if err := sameSchema(schema, t.Schema()); err != nil {
-			return nil, err
-		}
-		row := make([]any, t.NumCols())
-		for r := 0; r < t.NumRows(); r++ {
-			for c := 0; c < t.NumCols(); c++ {
-				if t.Attr(c).Kind == table.Numeric {
-					row[c] = t.Float(r, c)
-				} else {
-					row[c] = t.CatString(r, c)
-				}
-			}
-			if err := builder.AppendRow(row...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if builder == nil {
-		return nil, ErrEmptyArchive
-	}
-	return builder.Build()
-}
-
 // ReadAll decompresses every segment (concurrently, bounded at
-// GOMAXPROCS) and concatenates the rows in segment order. A structurally
-// valid archive with zero segments returns ErrEmptyArchive.
+// GOMAXPROCS) and merges their rows in segment order into one table,
+// column by column (table.Concat). Peak memory is every compressed
+// frame, plus every decoded segment, plus the merged table. A
+// structurally valid archive with zero segments returns ErrEmptyArchive.
 func ReadAll(r io.Reader) (*table.Table, error) {
 	return ReadAllLimited(r, codec.DecodeLimits{})
 }
@@ -416,9 +374,12 @@ func ReadAllLimited(r io.Reader, lim codec.DecodeLimits) (*table.Table, error) {
 		}
 		frames = append(frames, frame)
 	}
+	if len(frames) == 0 {
+		return nil, ErrEmptyArchive
+	}
 	tables, err := decodeFrames(frames, lim)
 	if err != nil {
 		return nil, err
 	}
-	return mergeTables(tables)
+	return table.Concat(tables...)
 }

@@ -339,8 +339,14 @@ func (sr *SegReader) Segment(i int) (*table.Table, error) {
 }
 
 // ReadAll decodes every segment (concurrently, bounded at GOMAXPROCS)
-// and concatenates the rows. An empty archive returns ErrEmptyArchive.
+// and merges their rows in segment order into one table, column by
+// column (table.Concat). Peak memory is every compressed frame, plus
+// every decoded segment, plus the merged table. An empty archive returns
+// ErrEmptyArchive.
 func (sr *SegReader) ReadAll() (*table.Table, error) {
+	if len(sr.segs) == 0 {
+		return nil, ErrEmptyArchive
+	}
 	all := make([]int, len(sr.segs))
 	for i := range all {
 		all[i] = i
@@ -349,7 +355,7 @@ func (sr *SegReader) ReadAll() (*table.Table, error) {
 }
 
 // readMerged decodes segments idx concurrently, checks each against its
-// footer row count, and concatenates their rows in order.
+// footer row count, and merges their rows in order with table.Concat.
 func (sr *SegReader) readMerged(idx []int) (*table.Table, error) {
 	frames := make([][]byte, len(idx))
 	for k, i := range idx {
@@ -367,7 +373,7 @@ func (sr *SegReader) readMerged(idx []int) (*table.Table, error) {
 			return nil, fmt.Errorf("archive: segment %d decoded %d rows, footer records %d", i, t.NumRows(), sr.segs[i].Rows)
 		}
 	}
-	return mergeTables(tables)
+	return table.Concat(tables...)
 }
 
 // QueryStats reports how much decoding a query's zone-map pruning saved.
@@ -388,6 +394,11 @@ type QueryStats struct {
 // resolve to a larger absolute value here than in a full decode, and
 // the interval bounds (Lo/Hi) can be wider than querying the whole
 // decoded table would give.
+//
+// The segments that survive pruning decode concurrently (bounded at
+// GOMAXPROCS) and merge into one table (table.Concat) before the query
+// runs, so peak memory is their compressed frames, plus the decoded
+// segments, plus the merged table.
 func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
 	if sr.closed {
 		return nil, nil, ErrReaderClosed

@@ -50,8 +50,10 @@ func TestRunSmoke(t *testing.T) {
 	if dec := byName["decompress/cdr"]; dec.RowsPerSec <= 0 {
 		t.Errorf("decompress/cdr rows/sec = %v, want > 0", dec.RowsPerSec)
 	}
-	if q := byName["query/aggregate"]; q.QueriesPerSec <= 0 {
-		t.Errorf("query/aggregate queries/sec = %v, want > 0", q.QueriesPerSec)
+	for _, name := range []string{"query/aggregate", "query/archive"} {
+		if q := byName[name]; q.QueriesPerSec <= 0 {
+			t.Errorf("%s queries/sec = %v, want > 0", name, q.QueriesPerSec)
+		}
 	}
 }
 

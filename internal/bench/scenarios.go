@@ -27,6 +27,7 @@ var scenarios = []scenario{
 	{name: "compress/segmented_parallel", setup: setupSegmented(0)},
 	{name: "decompress/cdr", setup: setupDecompress},
 	{name: "query/aggregate", setup: setupQuery},
+	{name: "query/archive", setup: setupQueryArchive},
 	{name: "micro/bayesnet_build", setup: setupBayesNet},
 	{name: "micro/cart_build", setup: setupCartBuild},
 	{name: "micro/outlier_scan", setup: setupOutlierScan},
@@ -105,19 +106,52 @@ func setupDecompress(cfg Config) (func(*opStats) error, error) {
 	}, nil
 }
 
-// setupQuery times the bounded-approximate aggregation path (AVG with a
-// numeric predicate and GROUP BY on the CDR workload).
+// aggregateQuery is the query both query scenarios run: AVG with a
+// numeric predicate and GROUP BY on the CDR workload.
+var aggregateQuery = query.Query{
+	Agg:     query.Avg,
+	Column:  "charge_cents",
+	Where:   query.NumCmp("duration_sec", query.Gt, 200),
+	GroupBy: "plan",
+}
+
+// setupQuery times the bounded-approximate aggregation engine alone, on
+// the original in-memory table.
 func setupQuery(cfg Config) (func(*opStats) error, error) {
 	t := datagen.CDR(cfg.Rows, cfg.Seed)
 	tol := table.UniformTolerances(t, 0.01, 0)
-	q := query.Query{
-		Agg:     query.Avg,
-		Column:  "charge_cents",
-		Where:   query.NumCmp("duration_sec", query.Gt, 200),
-		GroupBy: "plan",
+	return func(st *opStats) error {
+		if _, err := query.Run(t, tol, aggregateQuery); err != nil {
+			return err
+		}
+		st.rows, st.queries = t.NumRows(), 1
+		return nil
+	}, nil
+}
+
+// setupQueryArchive times the same query through the archive read path,
+// SegReader.Query, on CDR rows ordered by start_hour in 16 segments. The
+// predicate is on a non-key column, so no segment is pruned: every op
+// reads the footer's zone maps, decodes all 16 segments, merges them and
+// aggregates.
+func setupQueryArchive(cfg Config) (func(*opStats) error, error) {
+	t := datagen.CDR(cfg.Rows, cfg.Seed)
+	sorted, err := t.SelectRows(t.LexSortedRows())
+	if err != nil {
+		return nil, err
+	}
+	tol := table.UniformTolerances(sorted, 0.01, 0)
+	var buf bytes.Buffer
+	seg := archive.SegmentOptions{SegmentRows: (sorted.NumRows() + 15) / 16}
+	if _, err := archive.WriteTable(&buf, sorted, core.Options{Tolerances: tol}, seg); err != nil {
+		return nil, err
+	}
+	sr, err := archive.OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return nil, err
 	}
 	return func(st *opStats) error {
-		if _, err := query.Run(t, tol, q); err != nil {
+		if _, _, err := sr.Query(tol, aggregateQuery); err != nil {
 			return err
 		}
 		st.rows, st.queries = t.NumRows(), 1

@@ -90,6 +90,21 @@ func (s Schema) Validate() error {
 	return nil
 }
 
+// Match returns nil when s equals want, and otherwise an error naming
+// the difference: the attribute count, or the first attribute whose name
+// or kind differs.
+func (s Schema) Match(want Schema) error {
+	if len(s) != len(want) {
+		return fmt.Errorf("table: schema has %d attributes, want %d", len(s), len(want))
+	}
+	for i := range s {
+		if s[i] != want[i] {
+			return fmt.Errorf("table: attribute %d is %v, want %v", i, s[i], want[i])
+		}
+	}
+	return nil
+}
+
 // Column is a single typed column. Exactly one of Floats or Codes is
 // populated, depending on the attribute kind. Categorical values are
 // dictionary-coded: Codes[i] indexes into Dict.
