@@ -7,6 +7,8 @@ package spartan
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/bayesnet"
 	"repro/internal/cart"
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/fascicle"
 	"repro/internal/gzipref"
@@ -31,6 +34,36 @@ func BenchmarkBayesNetBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bayesnet.Build(sample, bayesnet.Config{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewPlan runs model building alone (dependency_finder and
+// cart_selection) on the compress-small inputs: each generator at 4000
+// rows under 1% and 5% quantile tolerances, default options.
+func BenchmarkNewPlan(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	gens := []struct {
+		name string
+		gen  func(int, int64) *table.Table
+	}{
+		{"cdr", datagen.CDR},
+		{"census", datagen.Census},
+		{"corel", datagen.Corel},
+		{"forest", datagen.ForestCover},
+	}
+	for _, g := range gens {
+		t := g.gen(4000, rng.Int63())
+		for _, frac := range []float64{0.01, 0.05} {
+			opts := core.Options{Tolerances: table.UniformTolerances(t, frac, 0)}
+			b.Run(fmt.Sprintf("%s/%g%%", g.name, frac*100), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.NewPlan(context.Background(), t, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

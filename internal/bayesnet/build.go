@@ -55,22 +55,22 @@ func Build(t *table.Table, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("bayesnet: table has no attributes")
 	}
 	codes, cards := discretize(t, cfg.Bins)
+	b := &builder{cfg: cfg, n: n, rows: t.NumRows(), codes: codes, cards: cards,
+		adj: make([]map[int]bool, n)}
 
 	// Pairwise mutual information matrix.
-	mi := make([][]float64, n)
-	for i := range mi {
-		mi[i] = make([]float64, n)
+	b.mi = make([][]float64, n)
+	for i := range b.mi {
+		b.mi[i] = make([]float64, n)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := stats.MutualInformation(codes[i], codes[j], cards[i], cards[j])
-			mi[i][j] = v
-			mi[j][i] = v
+			v := b.scratch.MutualInformation(codes[i], codes[j], cards[i], cards[j])
+			b.mi[i][j] = v
+			b.mi[j][i] = v
 		}
 	}
 
-	b := &builder{cfg: cfg, n: n, rows: t.NumRows(), codes: codes, cards: cards, mi: mi,
-		adj: make([]map[int]bool, n)}
 	for i := range b.adj {
 		b.adj[i] = make(map[int]bool)
 	}
@@ -89,6 +89,12 @@ type builder struct {
 	mi     [][]float64
 	adj    []map[int]bool // undirected skeleton
 	defer2 []pair         // pairs deferred from drafting to thickening
+
+	// scratch holds the count buffers every CI test reuses; condCols and
+	// condCards hold the conditioning set's columns.
+	scratch   stats.Scratch
+	condCols  [][]int
+	condCards []int
 }
 
 type pair struct {
@@ -279,12 +285,13 @@ func (b *builder) dependent(u, v int) bool {
 // of freedom scale with the conditioning-set cardinality, which accounts
 // for the positive small-sample bias of empirical conditional MI.
 func (b *builder) ciIndependent(u, v int, cond []int) bool {
-	condCols := make([][]int, len(cond))
-	for i, c := range cond {
-		condCols[i] = b.codes[c]
+	b.condCols, b.condCards = b.condCols[:0], b.condCards[:0]
+	for _, c := range cond {
+		b.condCols = append(b.condCols, b.codes[c])
+		b.condCards = append(b.condCards, b.cards[c])
 	}
-	z, cz := stats.CompositeCodes(condCols)
-	cmi := stats.ConditionalMutualInformation(b.codes[u], b.codes[v], z, b.cards[u], b.cards[v], cz)
+	z, cz := b.scratch.CompositeCodes(b.condCols, b.condCards)
+	cmi := b.scratch.ConditionalMutualInformation(b.codes[u], b.codes[v], z, b.cards[u], b.cards[v], cz)
 	if cmi < b.cfg.Epsilon {
 		return true
 	}

@@ -102,10 +102,12 @@ func BuildContext(ctx context.Context, sample *table.Table, target int, cands []
 		scale:  float64(cfg.FullRows) / float64(sample.NumRows()),
 	}
 	sort.Ints(b.cands)
-	rows := make([]int, sample.NumRows())
-	for i := range rows {
-		rows[i] = i
+	domain := len(sample.Col(target).Dict)
+	for _, c := range b.cands {
+		domain = max(domain, len(sample.Col(c).Dict))
 	}
+	b.byCode = make([]int32, domain)
+	rows := b.identityRows(sample.NumRows())
 	kind := sample.Attr(target).Kind
 	var root *Node
 	var cost float64
@@ -115,6 +117,8 @@ func BuildContext(ctx context.Context, sample *table.Table, target int, cands []
 		root, cost = b.buildClassification(ctx, rows, 0)
 	}
 	if cfg.Prune == PruneAfter && b.ctxErr == nil {
+		// Growth reordered rows in place; prune from the original order.
+		rows = b.identityRows(sample.NumRows())
 		if kind == table.Numeric {
 			root, cost = b.pruneRegression(ctx, root, rows)
 		} else {
@@ -141,6 +145,52 @@ type treeBuilder struct {
 	// whole tree unwinds without threading an error through every level;
 	// BuildContext converts it into the returned error.
 	ctxErr error
+
+	scratch
+}
+
+// scratch holds the buffers shared by every node of a tree. A node is
+// done with them once its split is chosen, before either child is built.
+// Each buffer grows to the root's row count on first use. (Pooling them
+// across builds saved 13% of compress-small's allocated bytes but raised
+// its peak RSS by about 1 MB.)
+type scratch struct {
+	rows       []int     // the rows of the tree, partitioned in place
+	ys, vals   []float64 // targets row-aligned; sorted leaf values
+	classes    []int     // each row's class index
+	counts     []int     // per-class counts (classCounts)
+	right      []int     // the right side of a partition, before copy-back
+	numPairs   []numPair
+	clsPairs   []clsPair
+	sseGroups  []sseGroup
+	giniGroups []giniGroup
+	// groupCounts holds giniGroups' per-class counts, nc per group.
+	groupCounts []int
+	// catLeft is the code set of the categorical split just evaluated;
+	// bestLeft holds the best one so far while the node's other
+	// candidates are evaluated.
+	catLeft, bestLeft []int32
+	// byCode is indexed by a categorical code of the target or of a
+	// candidate: a group or class slot (index+1) or a count. It is all
+	// zero between uses.
+	byCode []int32
+}
+
+// identityRows returns 0..n-1 in the scratch row buffer.
+func (s *scratch) identityRows(n int) []int {
+	s.rows = grow(s.rows, n)
+	for i := range s.rows {
+		s.rows[i] = i
+	}
+	return s.rows
+}
+
+// grow returns buf resized to n, reusing its storage when large enough.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // cancelled reports (and latches) whether ctx is done. It is checked at

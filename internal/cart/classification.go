@@ -1,9 +1,10 @@
 package cart
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/floats"
 	"repro/internal/table"
@@ -23,15 +24,19 @@ import (
 // count, and the count of misclassifications that exceed the leaf's
 // pro-rata tolerance budget (the ones that would need outlier storage).
 func (b *treeBuilder) leafStatsClassification(rows []int) (majority int32, mis, chargeable int) {
-	counts := map[int32]int{}
+	target := b.t.Col(b.target).Codes
 	for _, r := range rows {
-		counts[b.t.Code(r, b.target)]++
+		b.byCode[target[r]]++
 	}
 	bestCode, bestCount := int32(0), -1
-	for code, c := range counts {
-		if c > bestCount || (c == bestCount && code < bestCode) {
+	for _, r := range rows {
+		code := target[r]
+		if c := int(b.byCode[code]); c > bestCount || (c == bestCount && code < bestCode) {
 			bestCode, bestCount = code, c
 		}
+	}
+	for _, r := range rows {
+		b.byCode[target[r]] = 0
 	}
 	if bestCount < 0 {
 		return 0, 0, 0
@@ -52,30 +57,29 @@ func (b *treeBuilder) buildClassification(ctx context.Context, rows []int, depth
 		return &Node{Leaf: true}, 0
 	}
 	majority, mis, chargeable := b.leafStatsClassification(rows)
-	leaf := &Node{Leaf: true, CatValue: majority}
 	leafCost := b.cm.LeafBits(b.target) + b.outlierCost(chargeable)
 
 	if mis == 0 || chargeable == 0 || depth >= b.cfg.MaxDepth || len(rows) < 2*b.cfg.MinLeafRows {
-		return leaf, leafCost
+		return &Node{Leaf: true, CatValue: majority}, leafCost
 	}
 	if b.cfg.Prune == PruneIntegrated && leafCost <= b.leafFloor() {
-		return leaf, leafCost
+		return &Node{Leaf: true, CatValue: majority}, leafCost
 	}
 
 	split, ok := b.bestSplitGini(rows)
 	if !ok {
-		return leaf, leafCost
+		return &Node{Leaf: true, CatValue: majority}, leafCost
 	}
 	leftRows, rightRows := b.partition(rows, split)
 	if len(leftRows) < b.cfg.MinLeafRows || len(rightRows) < b.cfg.MinLeafRows {
-		return leaf, leafCost
+		return &Node{Leaf: true, CatValue: majority}, leafCost
 	}
 	leftNode, leftCost := b.buildClassification(ctx, leftRows, depth+1)
 	rightNode, rightCost := b.buildClassification(ctx, rightRows, depth+1)
 	splitCost := b.cm.InternalBits(split.attr) + leftCost + rightCost
 
 	if b.cfg.Prune == PruneIntegrated && leafCost <= splitCost {
-		return leaf, leafCost
+		return &Node{Leaf: true, CatValue: majority}, leafCost
 	}
 	n := &Node{
 		SplitAttr:  split.attr,
@@ -112,12 +116,7 @@ func (b *treeBuilder) pruneClassification(ctx context.Context, n *Node, rows []i
 // bestSplitGini evaluates all candidate attributes under the Gini
 // impurity criterion.
 func (b *treeBuilder) bestSplitGini(rows []int) (candidateSplit, bool) {
-	classes := b.classIndex(rows)
-	y := make([]int, len(rows))
-	for i, r := range rows {
-		y[i] = classes[b.t.Code(r, b.target)]
-	}
-	nc := len(classes)
+	y, nc := b.classIndex(rows)
 	best := candidateSplit{score: math.Inf(1)}
 	found := false
 	for _, attr := range b.cands {
@@ -129,23 +128,42 @@ func (b *treeBuilder) bestSplitGini(rows []int) (candidateSplit, bool) {
 			s, ok = b.categoricalSplitGini(rows, y, nc, attr)
 		}
 		if ok && s.score < best.score {
-			best = s
+			best = b.keep(s)
 			found = true
 		}
 	}
-	return best, found
+	return b.own(best), found
 }
 
-// classIndex maps the target codes present in rows to dense indices.
-func (b *treeBuilder) classIndex(rows []int) map[int32]int {
-	idx := make(map[int32]int, b.t.Col(b.target).DomainSize())
-	for _, r := range rows {
-		c := b.t.Code(r, b.target)
-		if _, ok := idx[c]; !ok {
-			idx[c] = len(idx)
+// classIndex numbers the target codes present in rows densely, in order
+// of first appearance, and returns each row's class (in the builder's
+// scratch) with the class count.
+func (b *treeBuilder) classIndex(rows []int) (y []int, nc int) {
+	target := b.t.Col(b.target).Codes
+	b.classes = grow(b.classes, len(rows))
+	y = b.classes
+	for i, r := range rows {
+		c := target[r]
+		slot := b.byCode[c]
+		if slot == 0 {
+			nc++
+			slot = int32(nc)
+			b.byCode[c] = slot
 		}
+		y[i] = int(slot - 1)
 	}
-	return idx
+	for _, r := range rows {
+		b.byCode[target[r]] = 0
+	}
+	return y, nc
+}
+
+// classCounts returns three zeroed per-class count vectors from the
+// builder's scratch: totals, left and right.
+func (b *treeBuilder) classCounts(nc int) (totals, left, right []int) {
+	b.counts = grow(b.counts, 3*nc)
+	clear(b.counts)
+	return b.counts[:nc], b.counts[nc : 2*nc], b.counts[2*nc:]
 }
 
 func giniFromCounts(counts []int, total int) float64 {
@@ -160,28 +178,31 @@ func giniFromCounts(counts []int, total int) float64 {
 	return g
 }
 
+// clsPair is one row of a numeric split scan: predictor value and class.
+type clsPair struct {
+	x float64
+	y int
+}
+
 // numericSplitGini scans thresholds of a numeric predictor keeping running
 // class counts.
 func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (candidateSplit, bool) {
 	n := len(rows)
-	type pair struct {
-		x float64
-		y int
-	}
-	ps := make([]pair, n)
+	xs := b.t.Col(attr).Floats
+	b.clsPairs = grow(b.clsPairs, n)
+	ps := b.clsPairs
 	for i, r := range rows {
-		ps[i] = pair{b.t.Float(r, attr), y[i]}
+		ps[i] = clsPair{xs[r], y[i]}
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
+	slices.SortFunc(ps, func(p, q clsPair) int { return lessX(p.x, q.x) })
 	if floats.SameBits(ps[0].x, ps[n-1].x) {
 		return candidateSplit{}, false
 	}
-	totals := make([]int, nc)
+	totals, leftCounts, rightCounts := b.classCounts(nc)
 	for _, p := range ps {
 		totals[p.y]++
 	}
-	leftCounts := make([]int, nc)
-	rightCounts := append([]int(nil), totals...)
+	copy(rightCounts, totals)
 	best := candidateSplit{attr: attr, score: math.Inf(1)}
 	found := false
 	for k := 1; k < n; k++ {
@@ -205,33 +226,47 @@ func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (candi
 	return best, found
 }
 
+// giniGroup is one predictor code's rows: its class counts are
+// groupCounts[off : off+nc].
+type giniGroup struct {
+	code int32
+	off  int
+	n    int
+}
+
 // categoricalSplitGini orders predictor codes by the proportion of the
 // parent's majority class and scans prefix partitions (exact for two
 // classes, a strong heuristic for more).
 func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (candidateSplit, bool) {
-	type group struct {
-		code   int32
-		counts []int
-		n      int
-	}
-	groups := make(map[int32]*group, b.t.Col(attr).DomainSize())
+	codes := b.t.Col(attr).Codes
+	gs := b.giniGroups[:0]
+	counts := b.groupCounts[:0]
 	for i, r := range rows {
-		c := b.t.Code(r, attr)
-		g := groups[c]
-		if g == nil {
-			g = &group{code: c, counts: make([]int, nc)}
-			groups[c] = g
+		c := codes[r]
+		slot := b.byCode[c]
+		if slot == 0 {
+			off := len(counts)
+			counts = slices.Grow(counts, nc)[:off+nc]
+			clear(counts[off:])
+			gs = append(gs, giniGroup{code: c, off: off})
+			slot = int32(len(gs))
+			b.byCode[c] = slot
 		}
-		g.counts[y[i]]++
+		g := &gs[slot-1]
+		counts[g.off+y[i]]++
 		g.n++
 	}
-	if len(groups) < 2 {
+	b.giniGroups, b.groupCounts = gs, counts
+	for _, g := range gs {
+		b.byCode[g.code] = 0
+	}
+	if len(gs) < 2 {
 		return candidateSplit{}, false
 	}
-	totals := make([]int, nc)
+	totals, leftCounts, rightCounts := b.classCounts(nc)
 	n := 0
-	for _, g := range groups {
-		for cls, c := range g.counts {
+	for _, g := range gs {
+		for cls, c := range counts[g.off : g.off+nc] {
 			totals[cls] += c
 		}
 		n += g.n
@@ -242,25 +277,22 @@ func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (c
 			majorityClass = cls
 		}
 	}
-	gs := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool {
-		pi := float64(gs[i].counts[majorityClass]) / float64(gs[i].n)
-		pj := float64(gs[j].counts[majorityClass]) / float64(gs[j].n)
-		if !floats.SameBits(pi, pj) {
-			return pi < pj
+	// (proportion, code) is a total order, so the sorted groups do not
+	// depend on the order they were found in.
+	slices.SortFunc(gs, func(g, h giniGroup) int {
+		pg := float64(counts[g.off+majorityClass]) / float64(g.n)
+		ph := float64(counts[h.off+majorityClass]) / float64(h.n)
+		if !floats.SameBits(pg, ph) {
+			return lessX(pg, ph)
 		}
-		return gs[i].code < gs[j].code
+		return cmp.Compare(g.code, h.code)
 	})
 	best := candidateSplit{attr: attr, isCat: true, score: math.Inf(1)}
-	found := false
-	leftCounts := make([]int, nc)
-	rightCounts := append([]int(nil), totals...)
+	bestK := -1
+	copy(rightCounts, totals)
 	cnt := 0
 	for k := 0; k < len(gs)-1; k++ {
-		for cls, c := range gs[k].counts {
+		for cls, c := range counts[gs[k].off : gs[k].off+nc] {
 			leftCounts[cls] += c
 			rightCounts[cls] -= c
 		}
@@ -272,14 +304,18 @@ func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (c
 		score := (fl*giniFromCounts(leftCounts, cnt) + fr*giniFromCounts(rightCounts, n-cnt)) / float64(n)
 		if score < best.score {
 			best.score = score
-			left := make([]int32, 0, k+1)
-			for i := 0; i <= k; i++ {
-				left = append(left, gs[i].code)
-			}
-			sort.Slice(left, func(i, j int) bool { return left[i] < left[j] })
-			best.leftCodes = left
-			found = true
+			bestK = k
 		}
 	}
-	return best, found
+	if bestK < 0 {
+		return best, false
+	}
+	left := grow(b.catLeft, bestK+1)
+	for i := range left {
+		left[i] = gs[i].code
+	}
+	slices.Sort(left)
+	b.catLeft = left
+	best.leftCodes = left
+	return best, true
 }

@@ -1,8 +1,10 @@
 package cart
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/floats"
@@ -23,14 +25,16 @@ import (
 // rows it fails to cover, and whether the leaf is "acceptable" (no
 // outliers), for the given rows.
 func (b *treeBuilder) leafStatsRegression(rows []int) (pred float64, outliers int) {
-	vals := make([]float64, len(rows))
-	for i, r := range rows {
-		vals[i] = b.t.Float(r, b.target)
-	}
-	sort.Float64s(vals)
-	if len(vals) == 0 {
+	if len(rows) == 0 {
 		return 0, 0
 	}
+	target := b.t.Col(b.target).Floats
+	b.vals = grow(b.vals, len(rows))
+	vals := b.vals
+	for i, r := range rows {
+		vals[i] = target[r]
+	}
+	sort.Float64s(vals)
 	// Sliding window of width 2·tol maximizing coverage.
 	bestLo, bestCount := 0, 1
 	lo := 0
@@ -60,33 +64,32 @@ func (b *treeBuilder) buildRegression(ctx context.Context, rows []int, depth int
 		return &Node{Leaf: true}, 0
 	}
 	pred, outliers := b.leafStatsRegression(rows)
-	leaf := &Node{Leaf: true, NumValue: pred}
 	leafCost := b.cm.LeafBits(b.target) + b.outlierCost(outliers)
 
 	// Stop conditions: acceptable leaf (paper's optimization 2), depth or
 	// size bounds.
 	if outliers == 0 || depth >= b.cfg.MaxDepth || len(rows) < 2*b.cfg.MinLeafRows {
-		return leaf, leafCost
+		return &Node{Leaf: true, NumValue: pred}, leafCost
 	}
 	// Integrated pruning: if no expansion can beat the leaf, stop now.
 	if b.cfg.Prune == PruneIntegrated && leafCost <= b.leafFloor() {
-		return leaf, leafCost
+		return &Node{Leaf: true, NumValue: pred}, leafCost
 	}
 
 	split, ok := b.bestSplitSSE(rows, b.targetFloats(rows))
 	if !ok {
-		return leaf, leafCost
+		return &Node{Leaf: true, NumValue: pred}, leafCost
 	}
 	leftRows, rightRows := b.partition(rows, split)
 	if len(leftRows) < b.cfg.MinLeafRows || len(rightRows) < b.cfg.MinLeafRows {
-		return leaf, leafCost
+		return &Node{Leaf: true, NumValue: pred}, leafCost
 	}
 	leftNode, leftCost := b.buildRegression(ctx, leftRows, depth+1)
 	rightNode, rightCost := b.buildRegression(ctx, rightRows, depth+1)
 	splitCost := b.cm.InternalBits(split.attr) + leftCost + rightCost
 
 	if b.cfg.Prune == PruneIntegrated && leafCost <= splitCost {
-		return leaf, leafCost
+		return &Node{Leaf: true, NumValue: pred}, leafCost
 	}
 	n := &Node{
 		SplitAttr:  split.attr,
@@ -121,12 +124,15 @@ func (b *treeBuilder) pruneRegression(ctx context.Context, n *Node, rows []int) 
 	return n, splitCost
 }
 
+// targetFloats returns the target values of rows, row-aligned, in the
+// builder's scratch.
 func (b *treeBuilder) targetFloats(rows []int) []float64 {
-	vals := make([]float64, len(rows))
+	target := b.t.Col(b.target).Floats
+	b.ys = grow(b.ys, len(rows))
 	for i, r := range rows {
-		vals[i] = b.t.Float(r, b.target)
+		b.ys[i] = target[r]
 	}
-	return vals
+	return b.ys
 }
 
 // candidateSplit describes one evaluated split.
@@ -154,25 +160,64 @@ func (b *treeBuilder) bestSplitSSE(rows []int, y []float64) (candidateSplit, boo
 		}
 		if ok && (s.score < best.score ||
 			(floats.SameBits(s.score, best.score) && found && s.attr < best.attr)) {
-			best = s
+			best = b.keep(s)
 			found = true
 		}
 	}
-	return best, found
+	return b.own(best), found
+}
+
+// keep moves a categorical split's code set out of catLeft, which the
+// next candidate overwrites, into bestLeft.
+func (b *treeBuilder) keep(s candidateSplit) candidateSplit {
+	if s.isCat {
+		b.bestLeft = append(b.bestLeft[:0], s.leftCodes...)
+		s.leftCodes = b.bestLeft
+	}
+	return s
+}
+
+// own gives the chosen split a code set of its own, since the node built
+// from it outlives the scratch.
+func (b *treeBuilder) own(s candidateSplit) candidateSplit {
+	if s.isCat {
+		s.leftCodes = slices.Clone(s.leftCodes)
+	}
+	return s
+}
+
+// numPair is one row of a numeric split scan: predictor value and
+// regression target.
+type numPair struct {
+	x, y float64
+}
+
+// lessX orders by x alone. It is negative exactly when a < b, so
+// slices.SortFunc leaves rows with equal x in the order sort.Slice with a
+// < comparison gives them (both run the same pdqsort). Float sums over
+// tied rows, and so near-tied split scores and the archive bytes, depend
+// on that order.
+func lessX(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	if a > b {
+		return 1
+	}
+	return 0
 }
 
 // numericSplitSSE scans thresholds of a numeric predictor via sorted order
 // and prefix sums, in O(n log n).
 func (b *treeBuilder) numericSplitSSE(rows []int, y []float64, attr int) (candidateSplit, bool) {
 	n := len(rows)
-	type pair struct {
-		x, y float64
-	}
-	ps := make([]pair, n)
+	xs := b.t.Col(attr).Floats
+	b.numPairs = grow(b.numPairs, n)
+	ps := b.numPairs
 	for i, r := range rows {
-		ps[i] = pair{b.t.Float(r, attr), y[i]}
+		ps[i] = numPair{xs[r], y[i]}
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
+	slices.SortFunc(ps, func(p, q numPair) int { return lessX(p.x, q.x) })
 	if floats.SameBits(ps[0].x, ps[n-1].x) {
 		return candidateSplit{}, false
 	}
@@ -207,40 +252,47 @@ func (b *treeBuilder) numericSplitSSE(rows []int, y []float64, attr int) (candid
 	return best, found
 }
 
+// sseGroup accumulates the target values of one predictor code.
+type sseGroup struct {
+	code  int32
+	sum   float64
+	sumsq float64
+	n     int
+}
+
 // categoricalSplitSSE orders the predictor's codes by mean target value and
 // scans prefix partitions — the classic optimal-for-SSE ordering trick.
 func (b *treeBuilder) categoricalSplitSSE(rows []int, y []float64, attr int) (candidateSplit, bool) {
-	type group struct {
-		code  int32
-		sum   float64
-		sumsq float64
-		n     int
-	}
-	groups := make(map[int32]*group, b.t.Col(attr).DomainSize())
+	codes := b.t.Col(attr).Codes
+	gs := b.sseGroups[:0]
 	for i, r := range rows {
-		c := b.t.Code(r, attr)
-		g := groups[c]
-		if g == nil {
-			g = &group{code: c}
-			groups[c] = g
+		c := codes[r]
+		slot := b.byCode[c]
+		if slot == 0 {
+			gs = append(gs, sseGroup{code: c})
+			slot = int32(len(gs))
+			b.byCode[c] = slot
 		}
+		g := &gs[slot-1]
 		g.sum += y[i]
 		g.sumsq += y[i] * y[i]
 		g.n++
 	}
-	if len(groups) < 2 {
+	b.sseGroups = gs
+	for _, g := range gs {
+		b.byCode[g.code] = 0
+	}
+	if len(gs) < 2 {
 		return candidateSplit{}, false
 	}
-	gs := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool {
-		mi, mj := gs[i].sum/float64(gs[i].n), gs[j].sum/float64(gs[j].n)
-		if !floats.SameBits(mi, mj) {
-			return mi < mj
+	// (mean, code) is a total order, so the sorted groups do not depend
+	// on the order they were found in.
+	slices.SortFunc(gs, func(g, h sseGroup) int {
+		mg, mh := g.sum/float64(g.n), h.sum/float64(h.n)
+		if !floats.SameBits(mg, mh) {
+			return lessX(mg, mh)
 		}
-		return gs[i].code < gs[j].code
+		return cmp.Compare(g.code, h.code)
 	})
 	total, totalsq, n := 0.0, 0.0, 0
 	for _, g := range gs {
@@ -249,7 +301,7 @@ func (b *treeBuilder) categoricalSplitSSE(rows []int, y []float64, attr int) (ca
 		n += g.n
 	}
 	best := candidateSplit{attr: attr, isCat: true, score: math.Inf(1)}
-	found := false
+	bestK := -1
 	sum, sumsq, cnt := 0.0, 0.0, 0
 	for k := 0; k < len(gs)-1; k++ {
 		sum += gs[k].sum
@@ -263,44 +315,57 @@ func (b *treeBuilder) categoricalSplitSSE(rows []int, y []float64, attr int) (ca
 		sseR := (totalsq - sumsq) - (total-sum)*(total-sum)/fr
 		if score := sseL + sseR; score < best.score {
 			best.score = score
-			left := make([]int32, 0, k+1)
-			for i := 0; i <= k; i++ {
-				left = append(left, gs[i].code)
-			}
-			sort.Slice(left, func(i, j int) bool { return left[i] < left[j] })
-			best.leftCodes = left
-			found = true
+			bestK = k
 		}
 	}
-	return best, found
+	if bestK < 0 {
+		return best, false
+	}
+	left := grow(b.catLeft, bestK+1)
+	for i := range left {
+		left[i] = gs[i].code
+	}
+	slices.Sort(left)
+	b.catLeft = left
+	best.leftCodes = left
+	return best, true
 }
 
-// partition splits rows according to the candidate split.
+// partition splits rows in place according to the candidate split: the
+// rows going left move to the front and the rest follow, each side in
+// its original order. It returns the two sides.
 func (b *treeBuilder) partition(rows []int, s candidateSplit) (left, right []int) {
-	for _, r := range rows {
-		goLeft := false
-		if s.isCat {
-			goLeft = containsCode(s.leftCodes, b.t.Code(r, s.attr))
-		} else {
-			goLeft = b.t.Float(r, s.attr) <= s.value
+	b.right = grow(b.right, len(rows))
+	spill := b.right[:0]
+	w := 0
+	if s.isCat {
+		codes := b.t.Col(s.attr).Codes
+		for _, r := range rows {
+			if containsCode(s.leftCodes, codes[r]) {
+				rows[w] = r
+				w++
+			} else {
+				spill = append(spill, r)
+			}
 		}
-		if goLeft {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
+	} else {
+		xs := b.t.Col(s.attr).Floats
+		for _, r := range rows {
+			if xs[r] <= s.value {
+				rows[w] = r
+				w++
+			} else {
+				spill = append(spill, r)
+			}
 		}
 	}
-	return left, right
+	copy(rows[w:], spill)
+	return rows[:w], rows[w:]
 }
 
-// routeRows splits rows according to an existing node's split.
+// routeRows splits rows in place according to an existing node's split,
+// as partition does.
 func (b *treeBuilder) routeRows(n *Node, rows []int) (left, right []int) {
-	for _, r := range rows {
-		if n.takeLeft(b.t, r) {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	return left, right
+	return b.partition(rows, candidateSplit{attr: n.SplitAttr, isCat: n.SplitIsCat,
+		value: n.SplitValue, leftCodes: n.SplitLeft})
 }

@@ -39,6 +39,7 @@ func MaxIndependentSetContext(ctx context.Context, in Input, nb Neighborhood) (*
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
+	in.memo = newCartMemo()
 	n := in.Sample.NumCols()
 	mat := make(map[int]bool, n) // 𝒳_mat
 	for i := 0; i < n; i++ {

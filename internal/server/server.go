@@ -102,8 +102,15 @@ type metrics struct {
 type Option func(*Server)
 
 // WithLogger sets the structured logger for access logs and panics
-// (default slog.Default()).
-func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.log = l } }
+// (default slog.Default()). A nil logger discards the logs.
+func WithLogger(l *slog.Logger) Option {
+	return func(s *Server) {
+		if l == nil {
+			l = discardLogger()
+		}
+		s.log = l
+	}
+}
 
 // WithRegistry sets the metrics registry (default a fresh one). Pass a
 // shared registry to also expose the metrics on a separate debug

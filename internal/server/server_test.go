@@ -43,6 +43,17 @@ func TestHealth(t *testing.T) {
 	}
 }
 
+// TestNilLoggerDiscards serves a request through a server built with
+// WithLogger(nil): the access log must be discarded, not dereferenced.
+func TestNilLoggerDiscards(t *testing.T) {
+	h := New(WithLogger(nil))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200", rec.Code)
+	}
+}
+
 func TestCompressDecompressRoundTrip(t *testing.T) {
 	srv := testServer(t)
 	tb := datagen.CDR(1500, 1)
