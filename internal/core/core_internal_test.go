@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/datagen"
 	"repro/internal/table"
 )
@@ -44,7 +45,7 @@ func TestEstimateMaterBits(t *testing.T) {
 		b.MustAppendRow(7.0, float64(i)*1.37+float64(i%97), "v")
 	}
 	tb := b.MustBuild()
-	bits, err := estimateMaterBits(tb)
+	bits, err := codec.EstimateBitsPerValue(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
